@@ -21,9 +21,8 @@
 //                                         # as a "/scalar" twin and record the
 //                                         # vector-vs-scalar ratio
 //
-// Every cell is stamped with the compile-time ISA (simd_compiled), the
-// runtime dispatch choice sampled during the run (simd_active), and the
-// frame-allocator mode (allocator: arena|heap, from MCM_ARENA), so a
+// Every cell is stamped with the compile-time ISA (simd_compiled) and the
+// runtime dispatch choice sampled during the run (simd_active), so a
 // baseline JSON is self-describing about which kernels produced it.
 //
 // The tolerance can also come from MCM_PERF_TOLERANCE. Baseline numbers are
@@ -38,7 +37,6 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "controller/soa_kernels.hpp"
 #include "core/experiments.hpp"
 #include "load/trace.hpp"
@@ -157,17 +155,15 @@ struct CellResult {
   double simt_speedup = 0;  // rps / 1-worker twin's rps; 0 = not in a sweep
   double simd_speedup = 0;  // vector twin's rps / this scalar twin's rps
   std::string simd_active;  // runtime dispatch sampled for this run
-  std::string allocator;    // "arena" | "heap" (MCM_ARENA)
   std::string simd_mode;    // twin-pass tag; "" = default environment
   obs::JsonValue profile;  // mcm.prof/v1 doc when --profile, else null
 };
 
-/// Stamp the kernel/allocator provenance for the run about to happen. The
+/// Stamp the kernel provenance for the run about to happen. The
 /// dispatch is sampled per controller construction, so this reflects the
 /// MCM_SIMD environment in force for this cell.
 void stamp_modes(CellResult& r) {
   r.simd_active = std::string(ctrl::kernels::to_string(ctrl::kernels::active_level()));
-  r.allocator = common::arena_enabled() ? "arena" : "heap";
 }
 
 double now_ms() {
@@ -527,7 +523,6 @@ int main(int argc, char** argv) {
     if (r.simd_speedup > 0) c["simd_speedup"] = r.simd_speedup;
     c["simd_compiled"] = std::string(ctrl::kernels::compiled_isa());
     c["simd_active"] = r.simd_active;
-    c["allocator"] = r.allocator;
     arr.push(std::move(c));
     results.push_back(std::move(r));
     }

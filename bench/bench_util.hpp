@@ -15,7 +15,7 @@
 #include <string>
 
 #include "common/csv.hpp"
-#include "explore/thread_pool.hpp"
+#include "exec/thread_pool.hpp"
 #include "obs/run_report.hpp"
 
 namespace mcm::benchutil {
@@ -36,7 +36,7 @@ namespace mcm::benchutil {
 /// trajectories across runs are attributable to the pool size used.
 inline void stamp_threads(obs::RunReport& report, unsigned requested) {
   report.config()["threads"] =
-      explore::ThreadPool::resolve_thread_count(requested);
+      exec::ThreadPool::resolve_thread_count(requested);
 }
 
 /// Returns a CSV writer bound to $MCM_CSV_DIR/<name>.csv, or nullptr when

@@ -26,8 +26,8 @@ cmake --build "$build_dir" -j "$(nproc)"
 if [ "$mode" = "thread" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   # The suites that exercise real multi-threading: the channel-sharded
-  # engine at 1/2/8 workers (per-request and epoch-batched speculative
-  # paths, including forced rollbacks), the sharded-vs-legacy equivalence
+  # engine at 1/2/8 workers (the epoch-batched speculative path, including
+  # forced rollbacks), the sharded-vs-legacy equivalence
   # runs, the memoized stream cache, the exploration pool, the metrics
   # registry under concurrent registration, and the profiler's cross-thread
   # spool merge.
@@ -39,8 +39,7 @@ else
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
   # Second pass over the scheduling/kernel suites with the SoA arbitration
   # dispatch forced scalar, so the scalar reference loop (not just the AVX2
-  # kernel the CPU picks by default) runs under ASan+UBSan. The arena
-  # suites ride along for the heap/arena placement paths.
+  # kernel the CPU picks by default) runs under ASan+UBSan.
   MCM_SIMD=off ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-    -R "SimdEquivalence|ArenaEquivalence|FrameArena|FastpathEquivalence|RequestQueue|MemoryController|DeviceClass|HeteroDifferential|HeteroReport"
+    -R "SimdEquivalence|FastpathEquivalence|RequestQueue|MemoryController|DeviceClass|HeteroDifferential|HeteroReport"
 fi

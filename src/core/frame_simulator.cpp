@@ -8,7 +8,6 @@
 #include <set>
 #include <utility>
 
-#include "common/arena.hpp"
 #include "common/log.hpp"
 #include "core/sharded_engine.hpp"
 #include "load/stream_cache.hpp"
@@ -133,13 +132,6 @@ FrameSimResult FrameSimulator::run_impl(
   const bool sharded =
       opt_.mode == ExecutionMode::kStateMachine && !opt_.legacy_feed;
 
-  // Frame/run-scoped arena storage (tentpole: reset, not freed). The legacy
-  // path rebuilds its stage sources in here every frame; the sharded path
-  // backs the per-channel trace spools with it. MCM_ARENA=off falls back to
-  // the heap. Declared before the spools so they are destroyed first.
-  const bool use_arena = common::arena_enabled();
-  common::FrameArena frame_arena;
-
   // Per-channel trace spools for the sharded path (each written by exactly
   // one worker), merged into canonical order after finalize. The legacy
   // streaming sink also lives here so it outlives finalize's trailing
@@ -170,11 +162,7 @@ FrameSimResult FrameSimulator::run_impl(
       }
     }
     if (tracing) {
-      spools.reserve(sys.channel_count());
-      for (std::uint32_t c = 0; c < sys.channel_count(); ++c) {
-        spools.emplace_back(use_arena ? &frame_arena
-                                      : std::pmr::get_default_resource());
-      }
+      spools.resize(sys.channel_count());
       for (std::uint32_t c = 0; c < sys.channel_count(); ++c) {
         sys.attach_trace(&spools[c], c);
       }
@@ -206,35 +194,18 @@ FrameSimResult FrameSimulator::run_impl(
       const Time frame_start = t;
       const bool is_intra =
           intra_model != nullptr && frame % opt_.gop_length == 0;
-      // Per-frame stage sources: arena-built in the steady state (the reset
-      // reclaims last frame's objects wholesale and reuses the blocks), heap
-      // fallback under MCM_ARENA=off.
-      std::vector<std::unique_ptr<load::TrafficSource>> owned;
-      std::vector<load::TrafficSource*> sources;
-      if (use_arena) {
-        {
-          static const obs::prof::PhaseId kArenaReset =
-              obs::prof::phase_id("sim/arena_reset");
-          obs::prof::ScopedTimer span(kArenaReset);
-          frame_arena.reset();
-        }
-        sources = load::build_stage_sources(is_intra ? *intra_model : model,
-                                            layout, load_opt, frame_arena);
-      } else {
-        owned = load::build_stage_sources(is_intra ? *intra_model : model,
-                                          layout, load_opt);
-        sources.reserve(owned.size());
-        for (auto& s : owned) sources.push_back(s.get());
-      }
+      const std::vector<std::unique_ptr<load::TrafficSource>> sources =
+          load::build_stage_sources(is_intra ? *intra_model : model, layout,
+                                    load_opt);
 
       // In concurrent mode, split off the paced masters.
       std::vector<load::TrafficSource*> paced;
       if (opt_.mode == ExecutionMode::kConcurrent) {
-        for (auto* src : sources) {
+        for (const auto& src : sources) {
           if (!is_paced_stage(*src)) continue;
           src->set_start(frame_start);
           src->set_pacing(period);
-          paced.push_back(src);
+          paced.push_back(src.get());
         }
       }
 
@@ -282,7 +253,7 @@ FrameSimResult FrameSimulator::run_impl(
         }
       };
 
-      for (auto& src : sources) {
+      for (const auto& src : sources) {
         const bool paced_stage =
             opt_.mode == ExecutionMode::kConcurrent && is_paced_stage(*src);
         if (paced_stage) {

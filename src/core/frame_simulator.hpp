@@ -52,8 +52,8 @@ struct FrameSimOptions {
   unsigned sim_threads = 0;
 
   /// Positions per speculative chunk for the epoch-batched sharded engine
-  /// (0 = MCM_SIM_CHUNK, then the engine default; 1 forces the per-request
-  /// protocol). Results are byte-identical at every setting.
+  /// (0 = the engine default; 1 = no speculation, the sequential loop).
+  /// Results are byte-identical at every setting.
   unsigned sim_chunk = 0;
 
   /// Force the historical sequential feed loop instead of the sharded

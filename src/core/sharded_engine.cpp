@@ -5,13 +5,14 @@
 #include <cassert>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
 #include <optional>
-#include <string>
 #include <thread>
 #include <unordered_map>
 #include <utility>
 
+#include "common/log.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/prof.hpp"
 #include "obs/trace.hpp"
@@ -19,16 +20,10 @@
 namespace mcm::core {
 namespace {
 
-// Threshold ring capacity. Thresholds addressed to a channel are folded
-// into a running max by the owning worker every time it polls the cursor,
-// so the ring only holds the few entries published while the owner is busy
-// serving its own channels; 256 is orders of magnitude above that.
-constexpr std::uint32_t kRingCap = 256;
-
-// Positions per speculative chunk when neither the caller nor MCM_SIM_CHUNK
-// chooses: big enough that the 2-3 chunk barriers amortize to noise against
-// ~4096 requests of service work, small enough that a rollback replays a
-// bounded slice.
+// Positions per speculative chunk when the caller does not choose: big
+// enough that the 2-3 chunk barriers amortize to noise against ~4096
+// requests of service work, small enough that a rollback replays a bounded
+// slice.
 constexpr unsigned kDefaultSimChunk = 4096;
 
 // Speculative chunks between epoch snapshots. Snapshots copy whole channels
@@ -36,26 +31,19 @@ constexpr unsigned kDefaultSimChunk = 4096;
 // over several chunks; a rollback replays at most this many chunks.
 constexpr unsigned kEpochChunks = 8;
 
-// Genuine rollbacks tolerated per segment before the rest of the segment
-// falls back to the per-request protocol (adaptive kill switch; a pure
-// function of deterministic state, so it cannot break determinism).
+// Genuine rollbacks tolerated per segment before the rest of the segment is
+// finished serially (adaptive kill switch; a pure function of deterministic
+// state, so it cannot break determinism).
 constexpr unsigned kMaxRollbacksPerSegment = 8;
 
 constexpr std::uint64_t kNoDivergence =
     std::numeric_limits<std::uint64_t>::max();
 
-// MCM_SIM_SPEC: "off"/"0" disables chunked speculation (per-request
-// protocol), "rollback" forces a rollback at every speculative chunk (test
-// knob: results must stay byte-identical), anything else = on.
-enum class SpecMode { kOn, kOff, kForceRollback };
-
-SpecMode spec_mode_from_env() {
+/// MCM_SIM_SPEC=rollback forces a rollback at every speculative chunk (test
+/// knob: results must stay byte-identical).
+bool force_rollback_from_env() {
   const char* env = std::getenv("MCM_SIM_SPEC");
-  if (env == nullptr || *env == '\0') return SpecMode::kOn;
-  const std::string v(env);
-  if (v == "off" || v == "OFF" || v == "0") return SpecMode::kOff;
-  if (v == "rollback") return SpecMode::kForceRollback;
-  return SpecMode::kOn;
+  return env != nullptr && std::strcmp(env, "rollback") == 0;
 }
 
 /// Strict (horizon, channel) order — the sequential engine's channel-select
@@ -65,34 +53,34 @@ bool key_less(std::int64_t ha, std::uint32_t ia, std::int64_t hb,
   return ha < hb || (ha == hb && ia < ib);
 }
 
-struct alignas(64) ChanState {
-  struct Entry {
-    std::int64_t h_ps = 0;
-    std::uint32_t idx = 0;
-  };
-  // SPSC by construction: producers are serialized by cursor ownership
-  // (publishing happens strictly before the cursor bump, so the next
-  // producer's cursor acquire sees all prior ring writes); the single
-  // consumer is the worker that owns this channel.
-  Entry ring[kRingCap];
-  std::atomic<std::uint64_t> published{0};
-  std::atomic<std::uint64_t> consumed{0};
+/// A pending threshold (h, idx): the channel it is addressed to pops while
+/// its own (horizon, channel) key is below it.
+struct Threshold {
+  std::int64_t h_ps = 0;
+  std::uint32_t idx = 0;
+  bool valid = false;
 
-  // Consumer-local state (also reset by the barrier's serial step, which
-  // is synchronized against every worker).
-  std::int64_t tmax_ps = 0;
-  std::uint32_t tmax_idx = 0;
-  bool tmax_valid = false;
+  /// Max-merge another threshold into this one.
+  void fold(std::int64_t h, std::uint32_t i) {
+    if (!valid || key_less(h_ps, idx, h, i)) {
+      h_ps = h;
+      idx = i;
+      valid = true;
+    }
+  }
+};
+
+struct alignas(64) ChanState {
+  // Max of the thresholds published since this channel's previous position.
+  Threshold tmax;
   std::uint64_t routed = 0;
 
-  // Chunked mode only (owner-local, barrier-synchronized): next unconsumed
-  // index into ChunkMeta::pos_of for this channel, and the exit threshold
-  // the validation walk computed for the current chunk (promoted to tmax
-  // on commit, discarded on rollback).
+  // Epoch protocol only (owner-local, barrier-synchronized): next
+  // unconsumed index into ChunkMeta::pos_of for this channel, and the exit
+  // threshold the validation walk computed for the current chunk (promoted
+  // to tmax on commit, discarded on rollback).
   std::uint32_t meta_idx = 0;
-  std::int64_t exit_ps = 0;
-  std::uint32_t exit_idx = 0;
-  bool exit_valid = false;
+  Threshold exit;
 };
 
 // Per-worker self-profiling handles (obs/prof). Everything here observes
@@ -104,17 +92,13 @@ struct WorkerProf {
   bool on = false;
   obs::prof::PhaseId feed{};        // main-loop wall per segment (incl. waits)
   obs::prof::PhaseId drain{};       // stage-barrier drain wall per segment
-  obs::prof::PhaseId handoff{};     // cursor-handoff wait episodes
-  obs::prof::PhaseId ring_full{};   // SPSC threshold-ring full stalls
-  obs::prof::PhaseId barrier{};     // segment-barrier wait
+  obs::prof::PhaseId barrier{};     // segment/chunk barrier wait
   obs::prof::PhaseId retired{};     // completions popped by this worker
-  obs::prof::PhaseId folded{};      // thresholds folded from rings
-  obs::prof::PhaseId occupancy{};   // ring occupancy sampled at publish
-  obs::prof::PhaseId speculate{};   // chunked: speculative execution wall
-  obs::prof::PhaseId validate{};    // chunked: validation walk wall
-  obs::prof::PhaseId snapshot{};    // chunked: epoch snapshot wall
-  obs::prof::PhaseId publishes{};   // chunked: full-queue publish records
-  obs::prof::PhaseId spec_depth{};  // chunked: own positions per spec chunk
+  obs::prof::PhaseId speculate{};   // speculative execution wall
+  obs::prof::PhaseId validate{};    // validation walk wall
+  obs::prof::PhaseId snapshot{};    // epoch snapshot wall
+  obs::prof::PhaseId publishes{};   // full-queue publish records
+  obs::prof::PhaseId spec_depth{};  // own positions per speculative chunk
 };
 
 WorkerProf make_worker_prof(unsigned w) {
@@ -128,12 +112,8 @@ WorkerProf make_worker_prof(unsigned w) {
   };
   p.feed = id("feed");
   p.drain = id("drain");
-  p.handoff = id("handoff_wait");
-  p.ring_full = id("ring_full_wait");
   p.barrier = id("barrier_wait");
   p.retired = id("retired");
-  p.folded = id("thresholds_folded");
-  p.occupancy = id("ring_occupancy");
   p.speculate = id("speculate");
   p.validate = id("validate");
   p.snapshot = id("snapshot");
@@ -152,14 +132,136 @@ struct Segment {
   bool last_of_frame = false;
 };
 
+/// Every stage of every frame, in feed order.
+std::vector<Segment> make_segments(
+    const std::vector<const load::CachedWorkload*>& frame_workloads) {
+  std::vector<Segment> segments;
+  for (std::size_t f = 0; f < frame_workloads.size(); ++f) {
+    const load::CachedWorkload* wl = frame_workloads[f];
+    assert(!wl->stages.empty());
+    for (std::size_t si = 0; si < wl->stages.size(); ++si) {
+      Segment s;
+      s.stage = &wl->stages[si];
+      s.burst = wl->burst_bytes;
+      s.frame = static_cast<int>(f);
+      s.first_of_frame = si == 0;
+      s.last_of_frame = si + 1 == wl->stages.size();
+      segments.push_back(s);
+    }
+  }
+  return segments;
+}
+
+/// The state machine's clock (paper Section III): a stage's requests all
+/// arrive when the previous stage has fully completed; a frame starts at the
+/// later of its sensor slot and the previous frame's end. Both feeds advance
+/// it through the same two calls.
+struct FrameClock {
+  Time period = Time::zero();
+  Time t = Time::zero();            // start of the next frame
+  Time frame_start = Time::zero();
+  Time stage_start = Time::zero();  // arrival time of the current stage
+  ShardedRunOutput out;
+
+  void begin_frame() {
+    frame_start = t;
+    stage_start = t;
+  }
+
+  /// Close segment `s`, whose last completion was `last_done`.
+  void end_stage(const Segment& s, Time last_done) {
+    stage_start = max(stage_start, last_done);
+    if (s.frame == 0) {
+      const std::uint64_t bytes = s.stage->reqs.size() * s.burst;
+      out.first_frame_stages.emplace_back(s.stage->name, bytes);
+      out.first_frame_completed.push_back(stage_start);
+      out.bytes_first_frame += bytes;
+    }
+    if (s.last_of_frame) {
+      const Time busy = stage_start - frame_start;
+      out.access_accum += busy;
+      out.per_frame_access.push_back(busy);
+      t = max(frame_start + period, stage_start);
+    }
+  }
+};
+
+ctrl::Request stage_request(std::uint64_t packed, std::uint64_t local,
+                            Time arrival, std::uint16_t source) {
+  ctrl::Request r;
+  r.addr = local;
+  r.is_write = load::CachedStage::is_write_of(packed);
+  r.arrival = arrival;
+  r.source = source;
+  return r;
+}
+
+/// The exact protocol over positions [a, b) of `stage`, single-threaded.
+/// This is the sequential feed itself and the epoch protocol's serial
+/// replay. For position p routed to channel c: serve c's pending threshold;
+/// if c's queue is full, publish (h_c, c) to every other channel and pop c
+/// once; enqueue. Returns the max of `done` and every completion popped.
+Time feed_range(multichannel::MemorySystem& sys, std::vector<ChanState>& chans,
+                const load::CachedStage& stage, std::uint64_t a,
+                std::uint64_t b, Time arrival, Time done,
+                std::uint64_t& retired) {
+  const multichannel::Interleaver& il = sys.interleaver();
+  const std::uint32_t channels = sys.channel_count();
+  const std::uint64_t* reqs = stage.reqs.data();
+  const auto pop = [&](channel::Channel& ch) {
+    done = max(done, ch.process_one().done);
+    ++retired;
+  };
+  for (std::uint64_t p = a; p < b; ++p) {
+    const std::uint64_t packed = reqs[p];
+    const auto routed = il.route(load::CachedStage::addr_of(packed));
+    const std::uint32_t c = routed.channel;
+    channel::Channel& ch = sys.channel(c);
+    ChanState& st = chans[c];
+    if (st.tmax.valid) {
+      while (ch.has_pending() &&
+             key_less(ch.horizon().ps(), c, st.tmax.h_ps, st.tmax.idx)) {
+        pop(ch);
+      }
+      st.tmax.valid = false;
+    }
+    if (!ch.can_accept()) {
+      // Threshold = pre-pop horizon: the sequential stall serves other
+      // channels up to (h_j, j) *before* serving j itself.
+      const std::int64_t hj = ch.horizon().ps();
+      for (std::uint32_t k = 0; k < channels; ++k) {
+        if (k != c) chans[k].tmax.fold(hj, c);
+      }
+      pop(ch);
+    }
+    ch.enqueue(stage_request(packed, routed.local, arrival, stage.source_id));
+    ++st.routed;
+  }
+  return done;
+}
+
+/// Stage barrier for one channel: drain it to empty (pending thresholds are
+/// subsumed by the full drain).
+void drain_channel(channel::Channel& ch, ChanState& st, Time& done,
+                   std::uint64_t& retired) {
+  st.tmax.valid = false;
+  while (ch.has_pending()) {
+    done = max(done, ch.process_one().done);
+    ++retired;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Epoch protocol (more than one worker).
+// ---------------------------------------------------------------------------
+
 struct Shared {
   multichannel::MemorySystem& sys;
   const multichannel::Interleaver& il;
   std::vector<Segment> segments;
-  Time period = Time::zero();
+  FrameClock clock;
   unsigned workers = 1;
 
-  std::atomic<std::uint64_t> cursor{0};
   std::atomic<unsigned> arrived{0};
   std::atomic<std::uint64_t> generation{0};
   std::atomic<bool> failed{false};
@@ -172,16 +274,8 @@ struct Shared {
   std::vector<ChanState> chans;
   std::vector<Time> slot_last_done;  // per worker
 
-  // Serial-step frame bookkeeping (mirrors the sequential loop).
-  Time t = Time::zero();
-  Time frame_start = Time::zero();
-  Time stage_start = Time::zero();
-  ShardedRunOutput out;
-
-  // ---- Chunked (epoch-batched) mode ----
-  bool chunked = false;
   unsigned chunk = 0;  // max positions per speculative chunk
-  SpecMode spec_mode = SpecMode::kOn;
+  bool force_rollback = false;
   std::vector<std::shared_ptr<const load::ChunkMeta>> metas;  // per segment
   std::size_t seg_index = 0;  // segment the chunk serial steps operate on
 
@@ -205,23 +299,16 @@ struct Shared {
   std::vector<std::uint64_t> div_min;
 
   // Epoch snapshot: whole-channel copies + trace rewind marks + engine
-  // bookkeeping, restored on rollback. Snapshots of a worker's own
-  // channels are taken in parallel at the chunk start; the post-replay
-  // re-snapshot is serial.
+  // state, restored on rollback. Snapshots of a worker's own channels are
+  // taken in parallel at the chunk start; the post-replay re-snapshot is
+  // serial.
   std::uint64_t epoch_begin = 0;
   bool has_snapshot = false;
   unsigned spec_chunks_since_snapshot = 0;
   unsigned segment_rollbacks = 0;
-  struct ChanSave {
-    std::int64_t tmax_ps = 0;
-    std::uint32_t tmax_idx = 0;
-    bool tmax_valid = false;
-    std::uint64_t routed = 0;
-    std::uint32_t meta_idx = 0;
-  };
   std::vector<std::optional<channel::Channel>> chan_snaps;
   std::vector<std::uint64_t> spool_marks;
-  std::vector<ChanSave> chan_saves;
+  std::vector<ChanState> chan_saves;
   std::vector<Time> done_snap;  // per worker
 
   explicit Shared(multichannel::MemorySystem& s)
@@ -244,113 +331,49 @@ void spin_pause(unsigned& spins, bool oversubscribed) {
 
 void stage_next_chunk(Shared& sh, std::uint64_t begin, std::uint64_t n);
 
-/// Max-merge one threshold into the channel's pending bound (only the
-/// channel's owning worker may call this - tmax is consumer-private).
-void fold_threshold(ChanState& st, std::int64_t h_ps, std::uint32_t idx) {
-  if (!st.tmax_valid || key_less(st.tmax_ps, st.tmax_idx, h_ps, idx)) {
-    st.tmax_ps = h_ps;
-    st.tmax_idx = idx;
-    st.tmax_valid = true;
-  }
-}
-
-/// Fold every published-but-unconsumed threshold into the channel's max.
-/// Returns the number of thresholds folded (0 on the common empty path).
-std::uint64_t drain_ring(ChanState& st) {
-  const std::uint64_t pub = st.published.load(std::memory_order_acquire);
-  std::uint64_t con = st.consumed.load(std::memory_order_relaxed);
-  if (con == pub) return 0;
-  const std::uint64_t folded = pub - con;
-  do {
-    const ChanState::Entry& e = st.ring[con % kRingCap];
-    fold_threshold(st, e.h_ps, e.idx);
-  } while (++con < pub);
-  st.consumed.store(con, std::memory_order_release);
-  return folded;
-}
-
-/// When `stall_ns` is non-null (profiling), full-ring producer stalls are
-/// accumulated there; `*stalls` counts the episodes.
-void publish(Shared& sh, ChanState& dst, std::int64_t h_ps, std::uint32_t idx,
-             std::int64_t* stall_ns, std::uint64_t* stalls) {
-  const std::uint64_t pub = dst.published.load(std::memory_order_relaxed);
-  if (pub - dst.consumed.load(std::memory_order_acquire) >= kRingCap) {
-    const std::int64_t t0 = stall_ns != nullptr ? obs::prof::now_ns() : 0;
-    unsigned spins = 0;
-    do {
-      if (sh.failed.load(std::memory_order_relaxed)) return;
-      spin_pause(spins, sh.oversubscribed);  // the consumer drains on every cursor poll
-    } while (pub - dst.consumed.load(std::memory_order_acquire) >= kRingCap);
-    if (stall_ns != nullptr) {
-      *stall_ns += obs::prof::now_ns() - t0;
-      ++*stalls;
-    }
-  }
-  dst.ring[pub % kRingCap] = ChanState::Entry{h_ps, idx};
-  dst.published.store(pub + 1, std::memory_order_release);
-}
-
-/// The serial step the last barrier arriver runs after segment `i`: merge
-/// per-worker completion maxima, advance the frame clock exactly like the
-/// sequential loop, and stage the next segment.
-void serial_step(Shared& sh, std::size_t i) {
-  const Segment& s = sh.segments[i];
+/// The serial step the last barrier arriver runs after the current segment:
+/// merge per-worker completion maxima, advance the frame clock, and stage
+/// the next segment.
+void serial_step(Shared& sh) {
+  const std::size_t i = sh.seg_index;
   Time last = sh.arrival;
   for (unsigned w = 0; w < sh.workers; ++w) {
     last = max(last, sh.slot_last_done[w]);
   }
-  sh.stage_start = max(sh.stage_start, last);
-  if (s.frame == 0) {
-    const std::uint64_t bytes = s.stage->reqs.size() * s.burst;
-    sh.out.first_frame_stages.emplace_back(s.stage->name, bytes);
-    sh.out.first_frame_completed.push_back(sh.stage_start);
-    sh.out.bytes_first_frame += bytes;
-  }
-  if (s.last_of_frame) {
-    const Time busy = sh.stage_start - sh.frame_start;
-    sh.out.access_accum += busy;
-    sh.out.per_frame_access.push_back(busy);
-    sh.t = max(sh.frame_start + sh.period, sh.stage_start);
-  }
+  sh.clock.end_stage(sh.segments[i], last);
   if (i + 1 < sh.segments.size()) {
-    if (sh.segments[i + 1].first_of_frame) {
-      sh.frame_start = sh.t;
-      sh.stage_start = sh.t;
-    }
-    sh.arrival = sh.stage_start;
-    sh.cursor.store(0, std::memory_order_relaxed);
+    if (sh.segments[i + 1].first_of_frame) sh.clock.begin_frame();
+    sh.arrival = sh.clock.stage_start;
     for (ChanState& st : sh.chans) {
-      st.published.store(0, std::memory_order_relaxed);
-      st.consumed.store(0, std::memory_order_relaxed);
-      st.tmax_valid = false;
+      st.tmax.valid = false;
       st.meta_idx = 0;
     }
-    if (sh.chunked) {
-      // Fresh chunked state for the next segment: the stage drain left
-      // every queue empty, so the occupancy-based window proof starts
-      // clean. Snapshots never outlive a segment (arrival changes).
-      sh.seg_index = i + 1;
-      sh.has_snapshot = false;
-      sh.spec_chunks_since_snapshot = 0;
-      sh.segment_rollbacks = 0;
-      sh.spec_killed = false;
-      stage_next_chunk(sh, 0, sh.segments[i + 1].stage->reqs.size());
-    }
+    // Fresh chunk state for the next segment: the stage drain left every
+    // queue empty, so the occupancy-based window proof starts clean.
+    // Snapshots never outlive a segment (arrival changes).
+    sh.seg_index = i + 1;
+    sh.has_snapshot = false;
+    sh.spec_chunks_since_snapshot = 0;
+    sh.segment_rollbacks = 0;
+    sh.spec_killed = false;
+    stage_next_chunk(sh, 0, sh.segments[i + 1].stage->reqs.size());
   } else {
-    sh.out.end_time = sh.t;
+    sh.clock.out.end_time = sh.clock.t;
   }
 }
 
-/// Sense-reversing barrier; the last arriver runs the serial step for
-/// segment `i`. Returns false when the run was aborted by a failure.
-bool barrier(Shared& sh, std::size_t i, const WorkerProf& wp) {
+/// Sense-reversing barrier; the last arriver runs `step` (if non-null),
+/// timed under `step_phase`. Returns false when the run was aborted by a
+/// failure.
+bool barrier(Shared& sh, const WorkerProf& wp, void (*step)(Shared&),
+             obs::prof::PhaseId step_phase = {}) {
   const std::uint64_t gen = sh.generation.load(std::memory_order_acquire);
   if (sh.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == sh.workers) {
-    static const obs::prof::PhaseId kSerialStep =
-        obs::prof::phase_id("engine/serial_step");
-    const std::int64_t t0 = wp.on ? obs::prof::now_ns() : 0;
-    serial_step(sh, i);
-    if (wp.on) obs::prof::tally(kSerialStep, obs::prof::now_ns() - t0);
+    if (step != nullptr) {
+      const std::int64_t t0 = wp.on ? obs::prof::now_ns() : 0;
+      step(sh);
+      if (wp.on) obs::prof::tally(step_phase, obs::prof::now_ns() - t0);
+    }
     sh.arrived.store(0, std::memory_order_relaxed);
     sh.generation.store(gen + 1, std::memory_order_release);
     return !sh.failed.load(std::memory_order_relaxed);
@@ -358,229 +381,11 @@ bool barrier(Shared& sh, std::size_t i, const WorkerProf& wp) {
   const std::int64_t t0 = wp.on ? obs::prof::now_ns() : 0;
   unsigned spins = 0;
   while (sh.generation.load(std::memory_order_acquire) == gen) {
-    if (sh.failed.load(std::memory_order_relaxed)) {
-      if (wp.on) obs::prof::tally(wp.barrier, obs::prof::now_ns() - t0);
-      return false;
-    }
+    if (sh.failed.load(std::memory_order_relaxed)) break;
     spin_pause(spins, sh.oversubscribed);
   }
   if (wp.on) obs::prof::tally(wp.barrier, obs::prof::now_ns() - t0);
   return !sh.failed.load(std::memory_order_relaxed);
-}
-
-void run_segment(Shared& sh, const Segment& s, unsigned w,
-                 const WorkerProf& wp) {
-  const std::uint64_t n = s.stage->reqs.size();
-  const std::uint64_t* reqs = s.stage->reqs.data();
-  const std::uint32_t channels = sh.sys.channel_count();
-  const unsigned T = sh.workers;
-  const Time arr = sh.arrival;
-  const std::uint16_t sid = s.stage->source_id;
-  // Completion maxima already committed this segment (only relevant when
-  // entered as the mid-segment fallback of the chunked mode; between
-  // segments every slot is <= arr).
-  Time local_done = max(arr, sh.slot_last_done[w]);
-
-  // Profiling accumulators, flushed once per segment. Timing the handoff
-  // wait costs two clock reads per *episode* (an unbroken run of non-owned
-  // positions), never per request; with one worker no episode ever starts.
-  const bool pon = wp.on;
-  const std::int64_t t_feed0 = pon ? obs::prof::now_ns() : 0;
-  std::int64_t handoff_wait_t0 = 0;
-  bool handoff_waiting = false;
-  std::int64_t ring_stall_ns = 0;
-  std::uint64_t ring_stalls = 0;
-  std::uint64_t retired = 0;
-  std::uint64_t folded = 0;
-
-  const auto pop = [&](channel::Channel& ch) {
-    const auto c = ch.process_one();
-    local_done = max(local_done, c.done);
-    retired += static_cast<std::uint64_t>(pon);
-  };
-
-  unsigned spins = 0;
-  while (!sh.failed.load(std::memory_order_relaxed)) {
-    const std::uint64_t p = sh.cursor.load(std::memory_order_acquire);
-    if (p >= n) break;
-    const std::uint64_t packed = reqs[p];
-    const auto routed = sh.il.route(load::CachedStage::addr_of(packed));
-    const std::uint32_t c = routed.channel;
-    if (c % T != w) {
-      // Not ours: keep our channels' thresholds folded and wait.
-      if (pon && !handoff_waiting) {
-        handoff_waiting = true;
-        handoff_wait_t0 = obs::prof::now_ns();
-      }
-      for (std::uint32_t k = w; k < channels; k += T) {
-        folded += drain_ring(sh.chans[k]);
-      }
-      spin_pause(spins, sh.oversubscribed);
-      continue;
-    }
-    if (handoff_waiting) {
-      obs::prof::tally(wp.handoff, obs::prof::now_ns() - handoff_wait_t0);
-      handoff_waiting = false;
-    }
-    channel::Channel& ch = sh.sys.channel(c);
-    ChanState& st = sh.chans[c];
-    folded += drain_ring(st);
-    if (st.tmax_valid) {
-      while (ch.has_pending() &&
-             key_less(ch.horizon().ps(), c, st.tmax_ps, st.tmax_idx)) {
-        pop(ch);
-      }
-      st.tmax_valid = false;
-    }
-    const bool was_full = !ch.can_accept();
-    if (was_full) {
-      // Threshold = pre-pop horizon: the sequential stall serves other
-      // channels up to (h_j, j) *before* serving j itself.
-      const std::int64_t hj = ch.horizon().ps();
-      for (std::uint32_t k = 0; k < channels; ++k) {
-        if (k == c) continue;
-        if (k % T == w) {
-          // Our own channel: we are its only consumer, and we would never
-          // poll its ring while we hold the cursor - fold directly (after
-          // the ring, to keep thresholds max-merged with any cross-worker
-          // ones already queued).
-          folded += drain_ring(sh.chans[k]);
-          fold_threshold(sh.chans[k], hj, c);
-        } else {
-          if (pon) {
-            const ChanState& dst = sh.chans[k];
-            obs::prof::value(
-                wp.occupancy,
-                static_cast<std::int64_t>(
-                    dst.published.load(std::memory_order_relaxed) -
-                    dst.consumed.load(std::memory_order_relaxed)));
-          }
-          publish(sh, sh.chans[k], hj, c, pon ? &ring_stall_ns : nullptr,
-                  &ring_stalls);
-        }
-      }
-    }
-    // Release the position: everything below only touches channel c.
-    sh.cursor.store(p + 1, std::memory_order_release);
-    if (was_full) pop(ch);
-    ctrl::Request r;
-    r.addr = routed.local;
-    r.is_write = load::CachedStage::is_write_of(packed);
-    r.arrival = arr;
-    r.source = sid;
-    ch.enqueue(r);
-    ++st.routed;
-  }
-  if (handoff_waiting) {
-    obs::prof::tally(wp.handoff, obs::prof::now_ns() - handoff_wait_t0);
-  }
-
-  const std::int64_t t_drain0 = pon ? obs::prof::now_ns() : 0;
-  // Stage barrier: drain owned channels to empty. All enqueues into our
-  // channels happened on this worker, and trailing thresholds are subsumed
-  // by the full drain.
-  for (std::uint32_t c = w; c < channels; c += T) {
-    sh.chans[c].tmax_valid = false;
-    channel::Channel& ch = sh.sys.channel(c);
-    while (ch.has_pending()) pop(ch);
-  }
-  sh.slot_last_done[w] = local_done;
-
-  if (pon) {
-    const std::int64_t t_end = obs::prof::now_ns();
-    obs::prof::tally(wp.feed, t_drain0 - t_feed0);
-    obs::prof::tally(wp.drain, t_end - t_drain0);
-    if (ring_stalls > 0) obs::prof::tally(wp.ring_full, ring_stall_ns, ring_stalls);
-    if (retired > 0) obs::prof::count(wp.retired, retired);
-    if (folded > 0) obs::prof::count(wp.folded, folded);
-  }
-}
-
-/// run_segment specialized for a single worker: the same service order with
-/// the concurrency machinery dissolved. One worker owns every channel and
-/// every position, so the cursor needs no atomics, the threshold rings can
-/// never hold anything (cross-worker publishes are the only producers) and
-/// the handoff wait can never start. What remains is the sequential
-/// reference loop itself: route, serve entry thresholds, pop on a full
-/// queue, enqueue. Single-threaded runs (the common CLI default) skip every
-/// acquire/release and ring poll per request.
-void run_segment_single(Shared& sh, const Segment& s, const WorkerProf& wp) {
-  const std::uint64_t n = s.stage->reqs.size();
-  const std::uint64_t* reqs = s.stage->reqs.data();
-  const std::uint32_t channels = sh.sys.channel_count();
-  const Time arr = sh.arrival;
-  const std::uint16_t sid = s.stage->source_id;
-  Time local_done = max(arr, sh.slot_last_done[0]);
-
-  const bool pon = wp.on;
-  const std::int64_t t_feed0 = pon ? obs::prof::now_ns() : 0;
-  std::uint64_t retired = 0;
-
-  const auto pop = [&](channel::Channel& ch) {
-    const auto c = ch.process_one();
-    local_done = max(local_done, c.done);
-    retired += static_cast<std::uint64_t>(pon);
-  };
-
-  for (std::uint64_t p = 0; p < n; ++p) {
-    const std::uint64_t packed = reqs[p];
-    const auto routed = sh.il.route(load::CachedStage::addr_of(packed));
-    const std::uint32_t c = routed.channel;
-    channel::Channel& ch = sh.sys.channel(c);
-    ChanState& st = sh.chans[c];
-    if (st.tmax_valid) {
-      while (ch.has_pending() &&
-             key_less(ch.horizon().ps(), c, st.tmax_ps, st.tmax_idx)) {
-        pop(ch);
-      }
-      st.tmax_valid = false;
-    }
-    const bool was_full = !ch.can_accept();
-    if (was_full) {
-      // Threshold = pre-pop horizon: the sequential stall serves other
-      // channels up to (h_j, j) *before* serving j itself.
-      const std::int64_t hj = ch.horizon().ps();
-      for (std::uint32_t k = 0; k < channels; ++k) {
-        if (k != c) fold_threshold(sh.chans[k], hj, c);
-      }
-      pop(ch);
-    }
-    ctrl::Request r;
-    r.addr = routed.local;
-    r.is_write = load::CachedStage::is_write_of(packed);
-    r.arrival = arr;
-    r.source = sid;
-    ch.enqueue(r);
-    ++st.routed;
-  }
-  sh.cursor.store(n, std::memory_order_relaxed);  // keep the shared cursor honest
-
-  const std::int64_t t_drain0 = pon ? obs::prof::now_ns() : 0;
-  for (std::uint32_t c = 0; c < channels; ++c) {
-    sh.chans[c].tmax_valid = false;
-    channel::Channel& ch = sh.sys.channel(c);
-    while (ch.has_pending()) pop(ch);
-  }
-  sh.slot_last_done[0] = local_done;
-
-  if (pon) {
-    const std::int64_t t_end = obs::prof::now_ns();
-    obs::prof::tally(wp.feed, t_drain0 - t_feed0);
-    obs::prof::tally(wp.drain, t_end - t_drain0);
-    if (retired > 0) obs::prof::count(wp.retired, retired);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Chunked (epoch-batched) mode.
-// ---------------------------------------------------------------------------
-
-/// Local (per-channel) address of a routed global address — Interleaver::
-/// route without recomputing the channel (ChunkMeta already has it).
-std::uint64_t local_addr(std::uint64_t addr, std::uint32_t channels,
-                         std::uint32_t granularity) {
-  const std::uint64_t stripe = addr / granularity;
-  return (stripe / channels) * granularity + addr % granularity;
 }
 
 /// Stage the next chunk window starting at `begin` (serial context only:
@@ -646,9 +451,7 @@ void snapshot_own(Shared& sh, unsigned w, const WorkerProf& wp) {
     }
     obs::TraceWriter* tw = ch.trace_writer();
     sh.spool_marks[c] = tw != nullptr ? tw->mark() : 0;
-    const ChanState& st = sh.chans[c];
-    sh.chan_saves[c] = Shared::ChanSave{st.tmax_ps, st.tmax_idx, st.tmax_valid,
-                                        st.routed, st.meta_idx};
+    sh.chan_saves[c] = sh.chans[c];
   }
   sh.done_snap[w] = sh.slot_last_done[w];
   if (wp.on) obs::prof::tally(wp.snapshot, obs::prof::now_ns() - t0);
@@ -656,10 +459,10 @@ void snapshot_own(Shared& sh, unsigned w, const WorkerProf& wp) {
 
 /// Speculative execution of channel `c`'s positions in [a, b). Entry
 /// thresholds (published by earlier chunks) apply at the first own
-/// position, exactly as the per-request protocol would; thresholds
-/// published *inside* the chunk are assumed not to bind — the validation
-/// walk checks that assumption. In a proven window no queue can fill, so
-/// the records are skipped and tmax commits immediately.
+/// position, exactly as the sequential feed would; thresholds published
+/// *inside* the chunk are assumed not to bind — the validation walk checks
+/// that assumption. In a proven window no queue can fill, so the records
+/// are skipped and tmax commits immediately.
 void spec_channel(Shared& sh, const Segment& s, const load::ChunkMeta& meta,
                   std::uint32_t c, std::uint64_t a, std::uint64_t b,
                   bool proven, Time& local_done, std::uint64_t& retired,
@@ -671,19 +474,19 @@ void spec_channel(Shared& sh, const Segment& s, const load::ChunkMeta& meta,
   const std::uint16_t sid = s.stage->source_id;
   const Time arr = sh.arrival;
   std::uint32_t i = st.meta_idx;
-  bool entry_pending = st.tmax_valid;
+  bool entry_pending = st.tmax.valid;
   while (i < pos.size() && pos[i] < b) {
     const std::uint64_t p = pos[i];
     if (entry_pending) {
       while (ch.has_pending() &&
-             key_less(ch.horizon().ps(), c, st.tmax_ps, st.tmax_idx)) {
+             key_less(ch.horizon().ps(), c, st.tmax.h_ps, st.tmax.idx)) {
         local_done = max(local_done, ch.process_one().done);
         ++retired;
       }
       entry_pending = false;
       // Keep tmax for the validation walk's entry state; a proven window
       // has no validation, so the application commits right here.
-      if (proven) st.tmax_valid = false;
+      if (proven) st.tmax.valid = false;
     }
     const bool was_full = !ch.can_accept();
     if (!proven) {
@@ -699,13 +502,9 @@ void spec_channel(Shared& sh, const Segment& s, const load::ChunkMeta& meta,
       ++publishes;
     }
     const std::uint64_t packed = reqs[p];
-    ctrl::Request r;
-    r.addr = local_addr(load::CachedStage::addr_of(packed), meta.channels,
-                        meta.granularity);
-    r.is_write = load::CachedStage::is_write_of(packed);
-    r.arrival = arr;
-    r.source = sid;
-    ch.enqueue(r);
+    const std::uint64_t local =
+        sh.il.route(load::CachedStage::addr_of(packed)).local;
+    ch.enqueue(stage_request(packed, local, arr, sid));
     ++st.routed;
     ++i;
     ++processed;
@@ -724,80 +523,38 @@ void validate_channel(Shared& sh, const load::ChunkMeta& meta, std::uint32_t c,
                       std::uint64_t a, std::uint64_t b,
                       std::uint64_t& div_min) {
   ChanState& st = sh.chans[c];
-  std::int64_t t_ps = st.tmax_ps;
-  std::uint32_t t_idx = st.tmax_idx;
-  bool t_valid = st.tmax_valid;
+  Threshold t = st.tmax;
   const std::uint8_t* chan = meta.chan.data();
   for (std::uint64_t p = a; p < b; ++p) {
     const std::uint64_t rel = p - a;
     const std::uint8_t fl = sh.flags[rel];
     if (chan[p] == c) {
-      if (t_valid && (fl & 2u) != 0 &&
-          key_less(sh.h_pre[rel], c, t_ps, t_idx)) {
+      if (t.valid && (fl & 2u) != 0 &&
+          key_less(sh.h_pre[rel], c, t.h_ps, t.idx)) {
         div_min = std::min(div_min, p);
         return;  // records beyond the first divergence can be garbage
       }
-      t_valid = false;
+      t.valid = false;
     } else if ((fl & 1u) != 0) {
-      const std::int64_t h = sh.h_pre[rel];
-      const std::uint32_t k = chan[p];
-      if (!t_valid || key_less(t_ps, t_idx, h, k)) {
-        t_ps = h;
-        t_idx = k;
-        t_valid = true;
-      }
+      t.fold(sh.h_pre[rel], chan[p]);
     }
   }
-  st.exit_ps = t_ps;
-  st.exit_idx = t_idx;
-  st.exit_valid = t_valid;
+  st.exit = t;
 }
 
 /// Replay stream range [a, b) of the current segment single-threaded with
-/// the exact per-request protocol, folding completion times into worker
-/// slot 0. Requires channel state that is protocol-exact at position a.
+/// the exact protocol, folding completion times into worker slot 0.
+/// Requires channel state that is protocol-exact at position a.
 void replay_serial_range(Shared& sh, std::uint64_t a, std::uint64_t b) {
-  const Segment& s = sh.segments[sh.seg_index];
-  const load::ChunkMeta& meta = *sh.metas[sh.seg_index];
-  const std::uint32_t channels = sh.sys.channel_count();
-  const std::uint64_t* reqs = s.stage->reqs.data();
-  const std::uint16_t sid = s.stage->source_id;
-  const Time arr = sh.arrival;
-  Time done0 = sh.slot_last_done[0];
-  for (std::uint64_t p = a; p < b; ++p) {
-    const std::uint32_t c = meta.chan[p];
-    channel::Channel& ch = sh.sys.channel(c);
-    ChanState& st = sh.chans[c];
-    if (st.tmax_valid) {
-      while (ch.has_pending() &&
-             key_less(ch.horizon().ps(), c, st.tmax_ps, st.tmax_idx)) {
-        done0 = max(done0, ch.process_one().done);
-      }
-      st.tmax_valid = false;
-    }
-    if (!ch.can_accept()) {
-      const std::int64_t hj = ch.horizon().ps();
-      for (std::uint32_t k = 0; k < channels; ++k) {
-        if (k != c) fold_threshold(sh.chans[k], hj, c);
-      }
-      done0 = max(done0, ch.process_one().done);
-    }
-    const std::uint64_t packed = reqs[p];
-    ctrl::Request r;
-    r.addr = local_addr(load::CachedStage::addr_of(packed), meta.channels,
-                        meta.granularity);
-    r.is_write = load::CachedStage::is_write_of(packed);
-    r.arrival = arr;
-    r.source = sid;
-    ch.enqueue(r);
-    ++st.routed;
-  }
-  sh.slot_last_done[0] = done0;
+  std::uint64_t retired = 0;
+  sh.slot_last_done[0] =
+      feed_range(sh.sys, sh.chans, *sh.segments[sh.seg_index].stage, a, b,
+                 sh.arrival, sh.slot_last_done[0], retired);
 }
 
 /// Serial rollback: restore the epoch snapshot, replay [epoch_begin, b)
-/// with the exact per-request protocol single-threaded, then re-snapshot
-/// at b so replayed (protocol-exact) state is never rolled back again.
+/// with the exact protocol single-threaded, then re-snapshot at b so
+/// replayed (protocol-exact) state is never rolled back again.
 void rollback_and_replay(Shared& sh, std::uint64_t b) {
   const load::ChunkMeta& meta = *sh.metas[sh.seg_index];
   const std::uint32_t channels = sh.sys.channel_count();
@@ -806,13 +563,7 @@ void rollback_and_replay(Shared& sh, std::uint64_t b) {
     ch = *sh.chan_snaps[c];
     obs::TraceWriter* tw = ch.trace_writer();
     if (tw != nullptr) tw->rewind(sh.spool_marks[c]);
-    ChanState& st = sh.chans[c];
-    const Shared::ChanSave& sv = sh.chan_saves[c];
-    st.tmax_ps = sv.tmax_ps;
-    st.tmax_idx = sv.tmax_idx;
-    st.tmax_valid = sv.tmax_valid;
-    st.routed = sv.routed;
-    st.meta_idx = sv.meta_idx;
+    sh.chans[c] = sh.chan_saves[c];
   }
   for (unsigned x = 0; x < sh.workers; ++x) {
     sh.slot_last_done[x] = sh.done_snap[x];
@@ -830,8 +581,7 @@ void rollback_and_replay(Shared& sh, std::uint64_t b) {
         std::lower_bound(meta.pos_of[c].begin(), meta.pos_of[c].end(),
                          static_cast<std::uint32_t>(b)) -
         meta.pos_of[c].begin());
-    sh.chan_saves[c] = Shared::ChanSave{st.tmax_ps, st.tmax_idx, st.tmax_valid,
-                                        st.routed, st.meta_idx};
+    sh.chan_saves[c] = st;
   }
   for (unsigned x = 0; x < sh.workers; ++x) {
     sh.done_snap[x] = sh.slot_last_done[x];
@@ -855,7 +605,7 @@ void serial_chunk_step(Shared& sh) {
       sh.div_min[w] = kNoDivergence;
     }
     const bool genuine = div != kNoDivergence;
-    if (genuine || sh.spec_mode == SpecMode::kForceRollback) {
+    if (genuine || sh.force_rollback) {
       static const obs::prof::PhaseId kRollback =
           obs::prof::phase_id("engine/rollback");
       const bool pon = obs::prof::enabled();
@@ -865,8 +615,8 @@ void serial_chunk_step(Shared& sh) {
       sh.rolled_back = true;
       if (genuine && ++sh.segment_rollbacks >= kMaxRollbacksPerSegment) {
         // Speculation keeps diverging on this segment: finish it serially
-        // right here with the exact protocol (far cheaper than the
-        // per-request handoff loop) and let the workers drop to the drain.
+        // right here with the exact protocol and let the workers drop to
+        // the drain.
         sh.spec_killed = true;
         replay_serial_range(sh, b, n);
         sh.chunk_begin = n;
@@ -878,37 +628,10 @@ void serial_chunk_step(Shared& sh) {
   stage_next_chunk(sh, b, n);
 }
 
-/// Chunk barrier; the last arriver optionally runs the serial chunk step.
-/// Returns false when the run was aborted by a failure.
-bool chunk_barrier(Shared& sh, const WorkerProf& wp, bool serial) {
-  const std::uint64_t gen = sh.generation.load(std::memory_order_acquire);
-  if (sh.arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == sh.workers) {
-    if (serial) {
-      static const obs::prof::PhaseId kEpochPublish =
-          obs::prof::phase_id("engine/epoch_publish");
-      const std::int64_t t0 = wp.on ? obs::prof::now_ns() : 0;
-      serial_chunk_step(sh);
-      if (wp.on) obs::prof::tally(kEpochPublish, obs::prof::now_ns() - t0);
-    }
-    sh.arrived.store(0, std::memory_order_relaxed);
-    sh.generation.store(gen + 1, std::memory_order_release);
-    return !sh.failed.load(std::memory_order_relaxed);
-  }
-  const std::int64_t t0 = wp.on ? obs::prof::now_ns() : 0;
-  unsigned spins = 0;
-  while (sh.generation.load(std::memory_order_acquire) == gen) {
-    if (sh.failed.load(std::memory_order_relaxed)) {
-      if (wp.on) obs::prof::tally(wp.barrier, obs::prof::now_ns() - t0);
-      return false;
-    }
-    spin_pause(spins, sh.oversubscribed);
-  }
-  if (wp.on) obs::prof::tally(wp.barrier, obs::prof::now_ns() - t0);
-  return !sh.failed.load(std::memory_order_relaxed);
-}
-
-void run_segment_chunked(Shared& sh, const Segment& s, unsigned w,
+void run_chunked_segment(Shared& sh, const Segment& s, unsigned w,
                          const WorkerProf& wp) {
+  static const obs::prof::PhaseId kEpochPublish =
+      obs::prof::phase_id("engine/epoch_publish");
   const std::uint64_t n = s.stage->reqs.size();
   const load::ChunkMeta& meta = *sh.metas[sh.seg_index];
   const std::uint32_t channels = sh.sys.channel_count();
@@ -943,9 +666,9 @@ void run_segment_chunked(Shared& sh, const Segment& s, unsigned w,
     sh.slot_last_done[w] = local_done;
 
     if (proven) {
-      if (!chunk_barrier(sh, wp, true)) return;
+      if (!barrier(sh, wp, serial_chunk_step, kEpochPublish)) return;
     } else {
-      if (!chunk_barrier(sh, wp, false)) return;
+      if (!barrier(sh, wp, nullptr)) return;
       const std::int64_t t_val0 = pon ? obs::prof::now_ns() : 0;
       std::uint64_t dmin = kNoDivergence;
       for (std::uint32_t c = w; c < channels; c += T) {
@@ -953,15 +676,12 @@ void run_segment_chunked(Shared& sh, const Segment& s, unsigned w,
       }
       sh.div_min[w] = dmin;
       if (pon) obs::prof::tally(wp.validate, obs::prof::now_ns() - t_val0);
-      if (!chunk_barrier(sh, wp, true)) return;
+      if (!barrier(sh, wp, serial_chunk_step, kEpochPublish)) return;
       if (sh.rolled_back) {
         local_done = sh.slot_last_done[w];
       } else {
         for (std::uint32_t c = w; c < channels; c += T) {
-          ChanState& st = sh.chans[c];
-          st.tmax_ps = st.exit_ps;
-          st.tmax_idx = st.exit_idx;
-          st.tmax_valid = st.exit_valid;
+          sh.chans[c].tmax = sh.chans[c].exit;
         }
       }
     }
@@ -975,12 +695,7 @@ void run_segment_chunked(Shared& sh, const Segment& s, unsigned w,
   const std::int64_t t_drain0 = pon ? obs::prof::now_ns() : 0;
   std::uint64_t drain_retired = 0;
   for (std::uint32_t c = w; c < channels; c += T) {
-    sh.chans[c].tmax_valid = false;
-    channel::Channel& ch = sh.sys.channel(c);
-    while (ch.has_pending()) {
-      local_done = max(local_done, ch.process_one().done);
-      ++drain_retired;
-    }
+    drain_channel(sh.sys.channel(c), sh.chans[c], local_done, drain_retired);
   }
   sh.slot_last_done[w] = local_done;
   if (pon) {
@@ -990,22 +705,35 @@ void run_segment_chunked(Shared& sh, const Segment& s, unsigned w,
 }
 
 void run_worker(Shared& sh, unsigned w) {
+  static const obs::prof::PhaseId kSerialStep =
+      obs::prof::phase_id("engine/serial_step");
   const WorkerProf wp = make_worker_prof(w);
   try {
-    for (std::size_t i = 0; i < sh.segments.size(); ++i) {
-      if (sh.chunked) {
-        run_segment_chunked(sh, sh.segments[i], w, wp);
-      } else if (sh.workers == 1) {
-        run_segment_single(sh, sh.segments[i], wp);
-      } else {
-        run_segment(sh, sh.segments[i], w, wp);
-      }
-      if (!barrier(sh, i, wp)) return;
+    for (const Segment& s : sh.segments) {
+      run_chunked_segment(sh, s, w, wp);
+      if (!barrier(sh, wp, serial_step, kSerialStep)) return;
     }
   } catch (...) {
     sh.failed.store(true, std::memory_order_relaxed);
     throw;
   }
+}
+
+/// Why a run with more than one resolved worker cannot use the epoch
+/// protocol, or nullptr when it can.
+const char* sequential_fallback_reason(const multichannel::MemorySystem& sys,
+                                       unsigned chunk) {
+  if (chunk <= 1) return "chunk size 1 disables speculation";
+  // ChunkMeta's routing table is byte-wide.
+  if (sys.channel_count() > 255) return "more than 255 channels";
+  // Rollback truncates trace spools back to the epoch snapshot.
+  for (std::uint32_t c = 0; c < sys.channel_count(); ++c) {
+    const obs::TraceWriter* tw = sys.channel(c).trace_writer();
+    if (tw != nullptr && !tw->supports_rewind()) {
+      return "a channel's trace writer cannot rewind";
+    }
+  }
+  return nullptr;
 }
 
 }  // namespace
@@ -1024,94 +752,71 @@ unsigned resolve_sim_threads(unsigned requested, std::uint32_t channels) {
   return std::max(1u, std::min(want, channels));
 }
 
-unsigned sim_chunk_from_env() {
-  const char* env = std::getenv("MCM_SIM_CHUNK");
-  if (env == nullptr || *env == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(env, &end, 10);
-  if (end == env || *end != '\0' || v <= 0) return 0;
-  return static_cast<unsigned>(v);
-}
-
 unsigned resolve_sim_chunk(unsigned requested) {
-  const unsigned want = requested > 0 ? requested : sim_chunk_from_env();
-  return want > 0 ? want : kDefaultSimChunk;
+  return requested > 0 ? requested : kDefaultSimChunk;
 }
 
 ShardedRunOutput run_sharded_frames(
     multichannel::MemorySystem& sys,
     const std::vector<const load::CachedWorkload*>& frame_workloads,
     Time period, unsigned sim_threads, unsigned sim_chunk) {
+  const std::uint32_t channels = sys.channel_count();
+  const unsigned workers = resolve_sim_threads(sim_threads, channels);
+  if (workers == 1) return run_sequential_frames(sys, frame_workloads, period);
+  const unsigned chunk = resolve_sim_chunk(sim_chunk);
+  if (const char* reason = sequential_fallback_reason(sys, chunk)) {
+    static const obs::prof::PhaseId kFallback =
+        obs::prof::phase_id("engine/sequential_fallback");
+    obs::prof::count(kFallback, 1);
+    static std::atomic<bool> logged{false};
+    if (!logged.exchange(true, std::memory_order_relaxed)) {
+      MCM_LOG_WARN("%u sim workers requested, running the sequential feed: %s",
+                   workers, reason);
+    }
+    return run_sequential_frames(sys, frame_workloads, period);
+  }
+
   Shared sh(sys);
-  sh.period = period;
-  sh.workers = resolve_sim_threads(sim_threads, sys.channel_count());
+  sh.clock.period = period;
+  sh.workers = workers;
   const unsigned hw = std::thread::hardware_concurrency();
   sh.oversubscribed = hw > 0 && sh.workers > hw;
-
-  const std::uint32_t channels = sys.channel_count();
-  sh.chunk = resolve_sim_chunk(sim_chunk);
-  sh.spec_mode = spec_mode_from_env();
-  // Chunked speculation needs >1 worker to pay, a rewindable (or absent)
-  // trace writer on every channel for rollback, and <=255 channels for the
-  // ChunkMeta byte-wide routing table.
-  bool chunked = sh.workers > 1 && sh.chunk > 1 &&
-                 sh.spec_mode != SpecMode::kOff && channels > 1 &&
-                 channels <= 255;
-  for (std::uint32_t c = 0; chunked && c < channels; ++c) {
-    obs::TraceWriter* tw = sys.channel(c).trace_writer();
-    if (tw != nullptr && !tw->supports_rewind()) chunked = false;
-  }
+  sh.force_rollback = force_rollback_from_env();
+  sh.segments = make_segments(frame_workloads);
 
   std::unordered_map<const load::CachedStage*,
                      std::shared_ptr<const load::ChunkMeta>>
       meta_by_stage;
-  for (std::size_t f = 0; f < frame_workloads.size(); ++f) {
+  std::uint64_t max_n = 0;
+  for (std::size_t f = 0, seg = 0; f < frame_workloads.size(); ++f) {
     const load::CachedWorkload* wl = frame_workloads[f];
-    assert(!wl->stages.empty());
-    for (std::size_t si = 0; si < wl->stages.size(); ++si) {
-      Segment s;
-      s.stage = &wl->stages[si];
-      s.burst = wl->burst_bytes;
-      s.frame = static_cast<int>(f);
-      s.first_of_frame = si == 0;
-      s.last_of_frame = si + 1 == wl->stages.size();
-      sh.segments.push_back(s);
-      if (chunked) {
-        auto& meta = meta_by_stage[s.stage];
-        if (meta == nullptr) {
-          meta = load::StreamCache::instance().chunk_meta(
-              *wl, si, channels, sh.il.granularity());
-        }
-        sh.metas.push_back(meta);
+    for (std::size_t si = 0; si < wl->stages.size(); ++si, ++seg) {
+      const load::CachedStage* stage = sh.segments[seg].stage;
+      auto& meta = meta_by_stage[stage];
+      if (meta == nullptr) {
+        meta = load::StreamCache::instance().chunk_meta(*wl, si, channels,
+                                                        sh.il.granularity());
       }
+      sh.metas.push_back(meta);
+      max_n = std::max<std::uint64_t>(max_n, stage->reqs.size());
     }
   }
-  sh.chans = std::vector<ChanState>(sys.channel_count());
+  sh.chans = std::vector<ChanState>(channels);
   sh.slot_last_done.assign(sh.workers, Time::zero());
 
-  if (chunked) {
-    sh.chunked = true;
-    std::uint64_t max_n = 0;
-    for (const Segment& s : sh.segments) {
-      max_n = std::max<std::uint64_t>(max_n, s.stage->reqs.size());
-    }
-    // Bound the per-chunk record arrays by the largest segment.
-    sh.chunk = static_cast<unsigned>(std::min<std::uint64_t>(
-        sh.chunk, std::max<std::uint64_t>(max_n, 2)));
-    sh.h_pre.assign(sh.chunk, 0);
-    sh.flags.assign(sh.chunk, 0);
-    sh.div_min.assign(sh.workers, kNoDivergence);
-    sh.chan_snaps.resize(channels);
-    sh.spool_marks.assign(channels, 0);
-    sh.chan_saves.assign(channels, Shared::ChanSave{});
-    sh.done_snap.assign(sh.workers, Time::zero());
-    sh.seg_index = 0;
-    stage_next_chunk(sh, 0, sh.segments.front().stage->reqs.size());
-  }
+  // Bound the per-chunk record arrays by the largest segment.
+  sh.chunk = static_cast<unsigned>(
+      std::min<std::uint64_t>(chunk, std::max<std::uint64_t>(max_n, 2)));
+  sh.h_pre.assign(sh.chunk, 0);
+  sh.flags.assign(sh.chunk, 0);
+  sh.div_min.assign(sh.workers, kNoDivergence);
+  sh.chan_snaps.resize(channels);
+  sh.spool_marks.assign(channels, 0);
+  sh.chan_saves.assign(channels, ChanState{});
+  sh.done_snap.assign(sh.workers, Time::zero());
+  stage_next_chunk(sh, 0, sh.segments.front().stage->reqs.size());
 
-  if (sh.workers == 1) {
-    run_worker(sh, 0);
-  } else {
+  {
     exec::ThreadPool pool(sh.workers - 1);
     for (unsigned w = 1; w < sh.workers; ++w) {
       pool.submit([&sh, w] { run_worker(sh, w); });
@@ -1129,54 +834,45 @@ ShardedRunOutput run_sharded_frames(
     pool.wait_idle();
   }
 
-  for (std::uint32_t c = 0; c < sys.channel_count(); ++c) {
+  for (std::uint32_t c = 0; c < channels; ++c) {
     sys.add_route_count(c, sh.chans[c].routed);
   }
-  return sh.out;
+  return sh.clock.out;
 }
 
 ShardedRunOutput run_sequential_frames(
     multichannel::MemorySystem& sys,
     const std::vector<const load::CachedWorkload*>& frame_workloads,
     Time period) {
-  ShardedRunOutput out;
-  Time t = Time::zero();
-  for (std::size_t f = 0; f < frame_workloads.size(); ++f) {
-    const load::CachedWorkload* wl = frame_workloads[f];
-    assert(!wl->stages.empty());
-    const Time frame_start = t;
-    Time stage_start = frame_start;
-    for (const load::CachedStage& stage : wl->stages) {
-      Time last_done = stage_start;
-      for (const std::uint64_t packed : stage.reqs) {
-        ctrl::Request r;
-        r.addr = load::CachedStage::addr_of(packed);  // global; submit routes
-        r.is_write = load::CachedStage::is_write_of(packed);
-        r.arrival = stage_start;
-        r.source = stage.source_id;
-        while (!sys.try_submit(r)) {
-          const auto c = sys.process_next();
-          assert(c.has_value());  // a full queue implies pending work
-          last_done = max(last_done, c->done);
-        }
-      }
-      // Stage barrier: the next stage consumes this stage's output frame.
-      while (const auto c = sys.process_next()) last_done = max(last_done, c->done);
-      stage_start = max(stage_start, last_done);
-      if (f == 0) {
-        const std::uint64_t bytes = stage.reqs.size() * wl->burst_bytes;
-        out.first_frame_stages.emplace_back(stage.name, bytes);
-        out.first_frame_completed.push_back(stage_start);
-        out.bytes_first_frame += bytes;
-      }
+  const WorkerProf wp = make_worker_prof(0);
+  const std::uint32_t channels = sys.channel_count();
+  std::vector<ChanState> chans(channels);
+  FrameClock clock;
+  clock.period = period;
+  for (const Segment& s : make_segments(frame_workloads)) {
+    if (s.first_of_frame) clock.begin_frame();
+    const Time arrival = clock.stage_start;
+    const std::int64_t t_feed0 = wp.on ? obs::prof::now_ns() : 0;
+    std::uint64_t retired = 0;
+    Time done = feed_range(sys, chans, *s.stage, 0, s.stage->reqs.size(),
+                           arrival, arrival, retired);
+    const std::int64_t t_drain0 = wp.on ? obs::prof::now_ns() : 0;
+    for (std::uint32_t c = 0; c < channels; ++c) {
+      drain_channel(sys.channel(c), chans[c], done, retired);
     }
-    const Time busy = stage_start - frame_start;
-    out.access_accum += busy;
-    out.per_frame_access.push_back(busy);
-    t = max(frame_start + period, stage_start);
+    if (wp.on) {
+      const std::int64_t t_end = obs::prof::now_ns();
+      obs::prof::tally(wp.feed, t_drain0 - t_feed0);
+      obs::prof::tally(wp.drain, t_end - t_drain0);
+      if (retired > 0) obs::prof::count(wp.retired, retired);
+    }
+    clock.end_stage(s, done);
   }
-  out.end_time = t;
-  return out;
+  for (std::uint32_t c = 0; c < channels; ++c) {
+    sys.add_route_count(c, chans[c].routed);
+  }
+  clock.out.end_time = clock.t;
+  return clock.out;
 }
 
 }  // namespace mcm::core

@@ -1,8 +1,8 @@
-// Channel-sharded execution of the paper's state-machine load model.
+// Execution of the paper's state-machine load model on memoized streams.
 //
-// The sequential feed loop (core::FrameSimulator) interleaves channels
-// through one heap; this engine runs each channel as an independent logical
-// process and keeps the results bit-identical via the *threshold protocol*:
+// The sequential feed (run_sequential_frames) issues each stage's requests
+// in stream order on one thread and orders channel service through
+// per-channel *thresholds* instead of one global (horizon, channel) heap:
 //
 //   for request r -> channel j, in stream order (position p):
 //     1. j applies the max of thresholds published since its previous
@@ -13,17 +13,20 @@
 //   stage end: every channel drains to empty (pending thresholds are
 //   subsumed by the full drain).
 //
-// This is exactly what the sequential loop does: a full-queue stall there
-// serves globally min-(horizon, channel) channels until j's key is the
-// minimum again, i.e. it pops every channel k with (h_k, k) < (h_j, j) up
-// to that bound — and between two of k's own enqueues only the *largest*
-// such bound matters, so the bounds can be applied lazily at k's next
-// position. Cross-channel pop order is output-invariant (stats are merged
-// per channel, stage completion is a max), which is what makes the lazy
-// application legal.
+// This is exactly what a heap loop (`while (!try_submit) process_next`)
+// does: a full-queue stall there serves globally min-(horizon, channel)
+// channels until j's key is the minimum again, i.e. it pops every channel
+// k with (h_k, k) < (h_j, j) up to that bound — and between two of k's own
+// enqueues only the *largest* such bound matters, so the bounds can be
+// applied lazily at k's next position. Cross-channel pop order is
+// output-invariant (stats are merged per channel, stage completion is a
+// max), which is what makes the lazy application legal — and what lets
+// channels run on different workers.
 //
-// Parallel execution, epoch-batched (default): the stream is cut into
-// chunks of MCM_SIM_CHUNK positions and each chunk runs in three tiers:
+// The epoch protocol (run_sharded_frames with more than one worker) cuts
+// the stream into chunks of `sim_chunk` positions; channels are assigned to
+// workers round-robin (channel c -> worker c % T) and each chunk runs in
+// three tiers:
 //
 //   Tier 1 (proven run): while every channel's occupancy plus its incoming
 //   positions in the window fits its queue depth, no queue can fill, so no
@@ -44,21 +47,20 @@
 //   Tier 3 (rollback): on divergence (or MCM_SIM_SPEC=rollback), restore
 //   the epoch snapshot (whole-channel copies + trace rewind marks, taken
 //   every few speculative chunks) and replay serially up to the chunk end
-//   with the per-request protocol, then re-snapshot. Committed state is
+//   with the sequential feed's loop, then re-snapshot. Committed state is
 //   never re-rolled. After kMaxRollbacksPerSegment genuine rollbacks the
-//   segment's remainder is completed serially with the exact protocol
-//   (speculation is clearly not paying for this stream shape).
+//   segment's remainder is completed serially the same way (speculation is
+//   clearly not paying for this stream shape).
 //
-// Per-request fallback (chunk size 1, 1 worker, MCM_SIM_SPEC=off, or a
-// non-rewindable trace writer): requests are consumed in strict position
-// order through one atomic cursor; the owner of position p's channel
-// performs the tiny serialized step (apply + full-check + publish) and
-// bumps the cursor; thresholds travel through per-channel SPSC rings.
-// Channels are assigned to workers round-robin (channel c -> worker c % T).
+// run_sharded_frames runs the sequential feed instead when one worker is
+// resolved. It also does so, counting engine/sequential_fallback and
+// logging the reason once per process, when more workers are requested but
+// the run cannot chunk: chunk size 1, more than 255 channels (ChunkMeta's
+// routing table is byte-wide), or a trace writer that cannot rewind.
 //
 // Every ordering and rollback decision is a pure function of per-channel
 // deterministic state, so results are byte-identical at any worker count
-// AND any chunk size, including the sequential loop's.
+// and any chunk size.
 #pragma once
 
 #include <cstdint>
@@ -86,18 +88,17 @@ struct ShardedRunOutput {
 /// nothing: requests carry global addresses and are routed here. Updates
 /// sys's per-channel route counters; channel stats/energy/trace accumulate
 /// in the channels as usual.
-/// `sim_chunk` positions per speculative chunk (0 = MCM_SIM_CHUNK or the
-/// built-in default; 1 forces the per-request protocol).
+/// `sim_chunk` positions per speculative chunk (0 = the built-in default;
+/// 1 = no speculation, the sequential feed).
 ShardedRunOutput run_sharded_frames(
     multichannel::MemorySystem& sys,
     const std::vector<const load::CachedWorkload*>& frame_workloads,
     Time period, unsigned sim_threads, unsigned sim_chunk = 0);
 
-/// The sequential feed loop (one heap, `while (!try_submit) process_next`)
-/// over the same memoized streams: the legacy-equivalent semantics the
-/// threshold protocol above reproduces. Kept as a first-class entry point so
-/// the differential verifier can pit the two feeds against each other and
-/// against the golden reference model.
+/// The sequential feed over the same memoized streams, on the calling
+/// thread: the threshold loop above. run_sharded_frames returns this when it
+/// cannot (or need not) parallelize; the differential verifier also calls it
+/// directly for its legacy-feed scenarios.
 ShardedRunOutput run_sequential_frames(
     multichannel::MemorySystem& sys,
     const std::vector<const load::CachedWorkload*>& frame_workloads,
@@ -112,11 +113,8 @@ ShardedRunOutput run_sequential_frames(
 [[nodiscard]] unsigned resolve_sim_threads(unsigned requested,
                                            std::uint32_t channels);
 
-/// MCM_SIM_CHUNK when set to a positive integer, else 0 (engine default).
-[[nodiscard]] unsigned sim_chunk_from_env();
-
-/// Chunk size actually used for `requested` (0 = environment default, then
-/// the built-in default of 4096 positions).
+/// Chunk size actually used for `requested` (0 = the built-in default of
+/// 4096 positions).
 [[nodiscard]] unsigned resolve_sim_chunk(unsigned requested);
 
 }  // namespace mcm::core

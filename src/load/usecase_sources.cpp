@@ -15,13 +15,12 @@ std::uint64_t bits_to_bytes(double bits) {
   return static_cast<std::uint64_t>(std::ceil(bits / 8.0));
 }
 
-/// The stage switch, parameterized over how sources are materialized: the
-/// heap factory owns them in unique_ptrs, the arena factory
-/// placement-constructs them in a FrameArena (reclaimed at reset()).
-template <class Factory>
-void build_stage_sources_impl(const video::UseCaseModel& model,
-                              const video::SurfaceLayout& layout,
-                              const LoadOptions& opt, Factory&& make) {
+}  // namespace
+
+std::vector<std::unique_ptr<TrafficSource>> build_stage_sources(
+    const video::UseCaseModel& model, const video::SurfaceLayout& layout,
+    const LoadOptions& opt) {
+  std::vector<std::unique_ptr<TrafficSource>> out;
   const auto surf = [&](SurfaceId id) -> const video::Surface& {
     return layout.surface(id);
   };
@@ -89,15 +88,15 @@ void build_stage_sources_impl(const video::UseCaseModel& model,
                                std::max<std::uint32_t>(1, model.ref_frames());
           ep.recon_base = surf(SurfaceId::kRecon).base;
           ep.seed = opt.seed;
-          make.template create<EncoderPatternSource>(std::string(stage.name), ep,
-                                                     opt.burst_bytes, sid);
+          out.push_back(std::make_unique<EncoderPatternSource>(
+              std::string(stage.name), ep, opt.burst_bytes, sid));
           // Bitstream output still goes through a stream source.
           if (stream_wr > 0) {
-            make.template create<MultiStreamSource>(
+            out.push_back(std::make_unique<MultiStreamSource>(
                 "Video bitstream",
                 std::vector<StreamSpec>{{surf(SurfaceId::kBitstream).base, stream_wr,
                                          surf(SurfaceId::kBitstream).bytes, true, sid}},
-                opt.chunk_bytes, opt.burst_bytes);
+                opt.chunk_bytes, opt.burst_bytes));
           }
           continue;
         }
@@ -122,45 +121,10 @@ void build_stage_sources_impl(const video::UseCaseModel& model,
         read_from(SurfaceId::kMuxBuffer, rd);
         break;
     }
-    make.template create<MultiStreamSource>(std::string(stage.name),
-                                            std::move(streams), opt.chunk_bytes,
-                                            opt.burst_bytes);
+    out.push_back(std::make_unique<MultiStreamSource>(
+        std::string(stage.name), std::move(streams), opt.chunk_bytes,
+        opt.burst_bytes));
   }
-}
-
-struct HeapFactory {
-  std::vector<std::unique_ptr<TrafficSource>>* out;
-  template <class T, class... Args>
-  void create(Args&&... args) {
-    out->push_back(std::make_unique<T>(std::forward<Args>(args)...));
-  }
-};
-
-struct ArenaFactory {
-  common::FrameArena* arena;
-  std::vector<TrafficSource*>* out;
-  template <class T, class... Args>
-  void create(Args&&... args) {
-    out->push_back(arena->create<T>(std::forward<Args>(args)...));
-  }
-};
-
-}  // namespace
-
-std::vector<std::unique_ptr<TrafficSource>> build_stage_sources(
-    const video::UseCaseModel& model, const video::SurfaceLayout& layout,
-    const LoadOptions& opt) {
-  std::vector<std::unique_ptr<TrafficSource>> out;
-  build_stage_sources_impl(model, layout, opt, HeapFactory{&out});
-  return out;
-}
-
-std::vector<TrafficSource*> build_stage_sources(const video::UseCaseModel& model,
-                                                const video::SurfaceLayout& layout,
-                                                const LoadOptions& opt,
-                                                common::FrameArena& arena) {
-  std::vector<TrafficSource*> out;
-  build_stage_sources_impl(model, layout, opt, ArenaFactory{&arena, &out});
   return out;
 }
 

@@ -1,6 +1,6 @@
 // Determinism contract of the epoch-batched (chunked) sharded engine:
 // every statistic, timestamp, and trace byte is identical at any chunk
-// size — including 1 (per-request protocol), odd sizes that straddle
+// size — including 1 (the sequential feed), odd sizes that straddle
 // interleave stripes, and chunks larger than the whole stream — and on the
 // rollback path (MCM_SIM_SPEC=rollback forces a rollback at every
 // speculative chunk). Synthetic workloads drive run_sharded_frames
@@ -108,7 +108,7 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.trace, b.trace) << "merged trace must be byte-identical";
 }
 
-/// Reference = T1 chunk=1 (per-request protocol, no speculation); every
+/// Reference = T1 chunk=1 (the sequential feed, no speculation); every
 /// (threads, chunk) combination must match it byte for byte.
 void expect_chunk_invariant(const multichannel::SystemConfig& config,
                             const std::vector<const CachedWorkload*>& frames,
@@ -209,51 +209,35 @@ TEST(SimChunkDeterminism, ForcedRollbackActuallyRollsBack) {
 }
 
 TEST(SimChunkDeterminism, ChunkSizeOneDegeneratesToPerRequestProtocol) {
-  // chunk=1 must not run the chunked machinery at all: no epoch_publish
-  // phase, and the per-request handoff counters reappear.
+  // chunk=1 leaves nothing to speculate on: a 2-worker request must run the
+  // sequential per-request feed on the calling thread — no epoch_publish
+  // phase, no second worker — count one visible fallback, and produce the
+  // 1-worker result.
   const auto config = make_system(4);
   const auto wl = make_workload({make_stage("seq", 1, 0, 16, 600)});
   const std::vector<const CachedWorkload*> frames{&wl};
+  const RunResult one = run_once(config, frames, Time::from_us(500), 1, 0);
   obs::prof::set_enabled(true);
   (void)obs::prof::collect(true);
-  (void)run_once(config, frames, Time::from_us(500), 2, 1);
-  const obs::prof::ProfileReport per_request = obs::prof::collect(true);
-  (void)run_once(config, frames, Time::from_us(500), 2, 0);
-  const obs::prof::ProfileReport chunked = obs::prof::collect(true);
+  const RunResult two = run_once(config, frames, Time::from_us(500), 2, 1);
+  const obs::prof::ProfileReport rep = obs::prof::collect(true);
   obs::prof::set_enabled(false);
-  EXPECT_EQ(per_request.find("engine/epoch_publish"), nullptr);
-  EXPECT_NE(chunked.find("engine/epoch_publish"), nullptr);
-  EXPECT_NE(chunked.find("engine/w0/speculate"), nullptr);
-  EXPECT_EQ(chunked.find("engine/w0/handoff_wait"), nullptr);
-}
-
-TEST(SimChunkDeterminism, SpecOffEnvMatchesDefault) {
-  const auto config = make_system(4);
-  const auto wl = make_workload({make_stage("seq", 1, 0, 16, 600)});
-  const std::vector<const CachedWorkload*> frames{&wl};
-  const RunResult on = run_once(config, frames, Time::from_us(500), 8, 0);
-  setenv("MCM_SIM_SPEC", "off", 1);
-  const RunResult off = run_once(config, frames, Time::from_us(500), 8, 0);
-  unsetenv("MCM_SIM_SPEC");
-  expect_identical(on, off, "MCM_SIM_SPEC=off vs on");
+  EXPECT_EQ(rep.find("engine/epoch_publish"), nullptr);
+  for (const obs::prof::ProfilePhase& ph : rep.phases) {
+    EXPECT_NE(ph.name.rfind("engine/w1/", 0), 0u) << ph.name;
+  }
+  EXPECT_NE(rep.find("engine/w0/feed"), nullptr);
+  const obs::prof::ProfilePhase* fallback =
+      rep.find("engine/sequential_fallback");
+  ASSERT_NE(fallback, nullptr);
+  EXPECT_EQ(fallback->calls, 1u);
+  expect_identical(one, two, "T=2 chunk=1 vs T=1");
 }
 
 TEST(SimChunkDeterminism, ResolveAndEnvDefaults) {
-  unsetenv("MCM_SIM_CHUNK");
-  EXPECT_EQ(sim_chunk_from_env(), 0u);
   EXPECT_EQ(resolve_sim_chunk(0), 4096u);
   EXPECT_EQ(resolve_sim_chunk(17), 17u);
-
-  setenv("MCM_SIM_CHUNK", "256", 1);
-  EXPECT_EQ(sim_chunk_from_env(), 256u);
-  EXPECT_EQ(resolve_sim_chunk(0), 256u);
-  EXPECT_EQ(resolve_sim_chunk(9), 9u) << "explicit request beats env";
-
-  setenv("MCM_SIM_CHUNK", "garbage", 1);
-  EXPECT_EQ(sim_chunk_from_env(), 0u);
-  setenv("MCM_SIM_CHUNK", "-4", 1);
-  EXPECT_EQ(sim_chunk_from_env(), 0u);
-  unsetenv("MCM_SIM_CHUNK");
+  EXPECT_EQ(resolve_sim_chunk(1), 1u);
 }
 
 }  // namespace

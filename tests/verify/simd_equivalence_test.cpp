@@ -1,7 +1,7 @@
-// Certification that the SIMD arbitration kernels and the frame arenas are
-// invisible in the results: every export must be byte-identical across
-// MCM_SIMD in {on, off} x MCM_SIM_THREADS-style worker counts {1, 4}, and
-// across MCM_ARENA in {on, off}. The dispatch is sampled at controller
+// Certification that the SIMD arbitration kernels are invisible in the
+// results: every export must be byte-identical across MCM_SIMD in
+// {on, off} x MCM_SIM_THREADS-style worker counts {1, 4}. The dispatch is
+// sampled at controller
 // construction, so flipping the environment between runs exercises the real
 // runtime paths (the AVX2 kernel engages at queue depth >= kAvx2MinSlots;
 // deep-queue cases below and ~1/6 of the fuzz scenarios reach it).
@@ -16,12 +16,9 @@
 #include "common/rng.hpp"
 #include "controller/memory_controller.hpp"
 #include "controller/soa_kernels.hpp"
-#include "core/experiments.hpp"
-#include "core/frame_simulator.hpp"
 #include "dram/spec.hpp"
 #include "verify/differ.hpp"
 #include "verify/scenario.hpp"
-#include "video/h264_levels.hpp"
 
 namespace mcm::verify {
 namespace {
@@ -162,36 +159,6 @@ TEST(SimdEquivalence, DeepQueueCompletionStreamMatchesScalar) {
   EXPECT_EQ(std::get<2>(vec), std::get<2>(sca));
   EXPECT_EQ(std::get<3>(vec), std::get<3>(sca));
   EXPECT_EQ(std::get<4>(vec).ps(), std::get<4>(sca).ps());
-}
-
-/// The frame arenas are an allocation-placement change only: a legacy-feed
-/// run (the path that rebuilds its stage sources every frame) must produce
-/// identical results with MCM_ARENA on and off.
-TEST(ArenaEquivalence, LegacyFeedMatchesHeapMode) {
-  core::ExperimentConfig cfg = core::ExperimentConfig::paper_defaults();
-  cfg.base.channels = 1;
-  cfg.base.freq = Frequency{200.0};
-  cfg.usecase.level = video::H264Level::k31;  // smallest level: keep it fast
-  cfg.sim.frames = 2;
-  cfg.sim.legacy_feed = true;
-
-  const auto run = [&](const char* arena) {
-    ScopedEnv env("MCM_ARENA", arena);
-    const core::FrameSimulator sim(cfg.sim);
-    return sim.run(cfg.base, cfg.usecase);
-  };
-  const auto with_arena = run(nullptr);  // default: arena on
-  const auto heap = run("off");
-  EXPECT_EQ(with_arena.stats.accesses(), heap.stats.accesses());
-  EXPECT_EQ(with_arena.stats.row_hits, heap.stats.row_hits);
-  EXPECT_EQ(with_arena.stats.activates, heap.stats.activates);
-  EXPECT_EQ(with_arena.access_time.ps(), heap.access_time.ps());
-  ASSERT_EQ(with_arena.stage_results.size(), heap.stage_results.size());
-  for (std::size_t i = 0; i < heap.stage_results.size(); ++i) {
-    EXPECT_EQ(with_arena.stage_results[i].name, heap.stage_results[i].name);
-    EXPECT_EQ(with_arena.stage_results[i].completed.ps(),
-              heap.stage_results[i].completed.ps());
-  }
 }
 
 }  // namespace

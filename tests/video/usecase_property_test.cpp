@@ -2,6 +2,8 @@
 // invariants must hold for every (level, zoom, reference policy) cell.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "video/usecase.hpp"
 
 namespace mcm::video {
@@ -12,6 +14,14 @@ struct Params {
   double zoom;
   RefFramePolicy policy;
 };
+
+// Names each case by its values. Without this, GoogleTest prints the raw
+// bytes of the struct, padding included, so the test names would change
+// from one run to the next.
+void PrintTo(const Params& p, std::ostream* os) {
+  *os << "L" << level_spec(p.level).name << " zoom " << p.zoom << ' '
+      << (p.policy == RefFramePolicy::kCalibrated ? "calibrated" : "dpb");
+}
 
 class UseCaseProperty : public ::testing::TestWithParam<Params> {};
 

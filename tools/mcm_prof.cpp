@@ -7,10 +7,10 @@
 //       Per-phase deltas between two profiles plus a regression verdict.
 //       Also accepts two BENCH_hotpath.json snapshots (requests/s deltas).
 //   mcm_prof contention <profile.json> [--cell LABEL] [--baseline-cell LABEL]
-//       Aggregate the sharded engine's per-worker wait phases (cursor
-//       handoff, threshold-ring full, barrier) and the data-oriented kernel
-//       phases (ctrl/readiness_scan, ctrl/arbitration, ctrl/ledger_flush,
-//       sim/arena_reset) when the profile recorded them. With
+//       Aggregate the sharded engine's per-worker phases (feed, drain,
+//       barrier wait), its epoch attribution, and the data-oriented kernel
+//       phases (ctrl/readiness_scan, ctrl/arbitration, ctrl/ledger_flush)
+//       when the profile recorded them. With
 //       --baseline-cell, report how much of the wall-clock gap between the
 //       two cells the measured waits explain.
 //   mcm_prof trace <profile.json> <out.json> [--cell LABEL]
@@ -341,11 +341,10 @@ int diff_bench(const LoadedFile& a, const LoadedFile& b, double tolerance,
 
 struct WorkerWaits {
   std::int64_t feed_ns = 0, drain_ns = 0;
-  std::int64_t handoff_ns = 0, ring_ns = 0, barrier_ns = 0;
-  std::uint64_t handoff_calls = 0, ring_calls = 0, barrier_calls = 0;
-  std::uint64_t retired = 0, folded = 0;
-  double occupancy_p95 = 0;
-  // Epoch-batched engine phases (zero when the per-request protocol ran).
+  std::int64_t barrier_ns = 0;
+  std::uint64_t barrier_calls = 0;
+  std::uint64_t retired = 0;
+  // Epoch-batched engine phases (zero when the sequential feed ran).
   std::int64_t speculate_ns = 0, validate_ns = 0, snapshot_ns = 0;
   std::uint64_t publishes = 0;
   double spec_depth_p50 = 0, spec_depth_p95 = 0;
@@ -375,21 +374,11 @@ std::map<unsigned, WorkerWaits> worker_waits(const ProfileReport& rep) {
       ww.feed_ns = ph.wall_ns;
     } else if (kind == "drain") {
       ww.drain_ns = ph.wall_ns;
-    } else if (kind == "handoff_wait") {
-      ww.handoff_ns = ph.wall_ns;
-      ww.handoff_calls = ph.calls;
-    } else if (kind == "ring_full_wait") {
-      ww.ring_ns = ph.wall_ns;
-      ww.ring_calls = ph.calls;
     } else if (kind == "barrier_wait") {
       ww.barrier_ns = ph.wall_ns;
       ww.barrier_calls = ph.calls;
     } else if (kind == "retired") {
       ww.retired = ph.calls;
-    } else if (kind == "thresholds_folded") {
-      ww.folded = ph.calls;
-    } else if (kind == "ring_occupancy") {
-      ww.occupancy_p95 = ph.p95;
     } else if (kind == "speculate") {
       ww.speculate_ns = ph.wall_ns;
     } else if (kind == "validate") {
@@ -414,26 +403,21 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
     return 1;
   }
   if (!p.label.empty()) std::printf("cell %s\n", p.label.c_str());
-  std::printf("%-8s %10s %10s %14s %14s %14s %12s %10s\n", "worker",
-              "feed [ms]", "drain [ms]", "handoff [ms]", "ring_full [ms]",
-              "barrier [ms]", "retired", "occ p95");
+  std::printf("%-8s %10s %10s %14s %12s\n", "worker", "feed [ms]",
+              "drain [ms]", "barrier [ms]", "retired");
   std::int64_t total_wait_ns = 0;
   std::int64_t max_wait_ns = 0;  // critical-path wait: slowest worker
   for (const auto& [w, ww] : waits) {
-    std::printf("w%-7u %10.2f %10.2f %9.2f/%-6llu %9.2f/%-6llu %9.2f/%-6llu "
-                "%12llu %10.1f\n",
-                w, ms(ww.feed_ns), ms(ww.drain_ns), ms(ww.handoff_ns),
-                static_cast<unsigned long long>(ww.handoff_calls),
-                ms(ww.ring_ns), static_cast<unsigned long long>(ww.ring_calls),
-                ms(ww.barrier_ns),
+    std::printf("w%-7u %10.2f %10.2f %9.2f/%-6llu %12llu\n", w,
+                ms(ww.feed_ns), ms(ww.drain_ns), ms(ww.barrier_ns),
                 static_cast<unsigned long long>(ww.barrier_calls),
-                static_cast<unsigned long long>(ww.retired), ww.occupancy_p95);
-    const std::int64_t wait = ww.handoff_ns + ww.ring_ns + ww.barrier_ns;
+                static_cast<unsigned long long>(ww.retired));
+    const std::int64_t wait = ww.barrier_ns;
     total_wait_ns += wait;
     max_wait_ns = std::max(max_wait_ns, wait);
   }
 
-  // Epoch-batched engine attribution (absent for per-request runs).
+  // Epoch-batched engine attribution (absent for sequential runs).
   const ProfilePhase* epochs = p.report.find("engine/epoch_publish");
   const ProfilePhase* rollback = p.report.find("engine/rollback");
   const ProfilePhase* proven = p.report.find("engine/proven_positions");
@@ -470,13 +454,19 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
       std::printf("rollbacks: none\n");
     }
   }
+  const ProfilePhase* fallback = p.report.find("engine/sequential_fallback");
+  if (fallback != nullptr && fallback->calls > 0) {
+    std::printf("sequential fallbacks: %.1f/run (the engine log names the "
+                "reason)\n",
+                static_cast<double>(fallback->calls) / runs);
+  }
 
   // Data-oriented kernel attribution: the controllers tally their SoA
   // readiness scans, FR-FCFS arbitration picks and batched ledger flushes,
-  // and the frame loop its arena rewinds, whichever engine protocol ran.
+  // whichever engine feed ran.
   {
     const char* kernel_phases[] = {"ctrl/readiness_scan", "ctrl/arbitration",
-                                   "ctrl/ledger_flush", "sim/arena_reset"};
+                                   "ctrl/ledger_flush"};
     bool header = false;
     for (const char* name : kernel_phases) {
       const ProfilePhase* ph = p.report.find(name);
@@ -497,7 +487,7 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
   const double wait_per_run_ms = ms(total_wait_ns) / runs;
   const double crit_wait_per_run_ms = ms(max_wait_ns) / runs;
   const double workers = static_cast<double>(waits.size());
-  std::printf("total wait (handoff + ring_full + barrier, all workers): "
+  std::printf("total barrier wait (all workers): "
               "%.2f ms/run over %.0f run(s); slowest worker %.2f ms/run\n",
               wait_per_run_ms, runs, crit_wait_per_run_ms);
 
