@@ -37,9 +37,4 @@ else
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
-  # Second pass over the scheduling/kernel suites with the SoA arbitration
-  # dispatch forced scalar, so the scalar reference loop (not just the AVX2
-  # kernel the CPU picks by default) runs under ASan+UBSan.
-  MCM_SIMD=off ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-    -R "SimdEquivalence|FastpathEquivalence|RequestQueue|MemoryController|DeviceClass|HeteroDifferential|HeteroReport"
 fi

@@ -40,7 +40,6 @@ MemoryController::MemoryController(const dram::DeviceSpec& spec, Frequency freq,
       // sentinel so the periodic-refresh loop never fires.
       next_ref_due_(d_.has_refresh() ? d_.cycles(d_.trefi) : Time::max()),
       bank_accesses_(spec.org.banks, 0) {
-  simd_ = kernels::active_level();
   if (cfg_.record_trace && cfg_.trace_reserve > 0) {
     trace_.reserve(cfg_.trace_reserve);
   }
@@ -89,7 +88,7 @@ std::uint32_t MemoryController::pick_best() const {
   const bool profiling = obs::prof::enabled();
   const std::int64_t t0 = profiling ? obs::prof::now_ns() : 0;
   const std::uint32_t ready =
-      kernels::arb_scan(queue_.lanes(), horizon_.ps(), dir, simd_);
+      kernels::arb_scan(queue_.lanes(), horizon_.ps(), dir);
   if (profiling) {
     const std::int64_t t1 = obs::prof::now_ns();
     obs::prof::tally(kernel_phases().readiness_scan, t1 - t0);

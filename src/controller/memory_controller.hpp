@@ -108,9 +108,6 @@ class MemoryController {
     return ledger_;
   }
 
-  /// Active arbitration-kernel dispatch (sampled from MCM_SIMD + CPU
-  /// support at construction).
-  [[nodiscard]] kernels::SimdLevel simd_level() const { return simd_; }
   [[nodiscard]] const dram::DerivedTiming& timing() const { return d_; }
   /// The device this controller drives. Heterogeneous systems bind a
   /// different spec per channel, so consumers must read it from here rather
@@ -261,7 +258,6 @@ class MemoryController {
     }
   };
   mutable PendingLedger pend_;
-  kernels::SimdLevel simd_ = kernels::SimdLevel::kScalar;
   std::vector<dram::CommandRecord> trace_;
   std::vector<std::uint64_t> bank_accesses_;
   obs::TraceWriter* trace_sink_ = nullptr;  // not owned; nullptr = disabled

@@ -11,7 +11,7 @@
 // memory (see controller/soa_kernels.hpp) instead of a pointer walk over
 // 56-byte entries:
 //
-//   arrival_ps  request arrival; INT64_MAX on free/padded slots, which
+//   arrival_ps  request arrival; INT64_MAX on free slots, which
 //               excludes them from both the readiness scan (never "ready")
 //               and the min-arrival scan without a separate liveness mask
 //   hit_write   bit 1: the slot's row is open in its bank, bit 0: direction.
@@ -40,15 +40,13 @@
 
 namespace mcm::ctrl {
 
-/// Read-only view of the queue's parallel lanes for the arbitration kernels.
-/// All lanes have `padded` entries (capacity rounded up to a multiple of
-/// four; tail padding is permanently "free").
+/// Read-only view of the queue's parallel lanes for the arbitration scan.
+/// Every lane has `capacity` entries.
 struct QueueLanes {
   const std::int64_t* arrival_ps = nullptr;
   const std::int64_t* hit_write = nullptr;
   const std::int64_t* inv_seq = nullptr;
-  std::uint32_t capacity = 0;  // live slot range (unpadded)
-  std::uint32_t padded = 0;    // lane length (multiple of 4)
+  std::uint32_t capacity = 0;
 };
 
 class RequestQueue {
@@ -63,7 +61,7 @@ class RequestQueue {
   static constexpr std::int64_t kWriteBit = 1;
   /// inv_seq starts here and decreases by one per push: older entries have a
   /// strictly larger key, so "FIFO-first" is "largest inv_seq". 2^60 pushes
-  /// headroom keeps the key clear of the rank bits the kernels pack above it.
+  /// headroom keeps the key clear of the rank bits the scan packs above it.
   static constexpr std::int64_t kSeqBase = (std::int64_t{1} << 60) - 1;
 
   struct Entry {
@@ -75,11 +73,10 @@ class RequestQueue {
 
   explicit RequestQueue(std::size_t capacity)
       : slots_(capacity),
-        padded_((capacity + 3u) & ~std::size_t{3}),
-        arrival_ps_(padded_, kFreeArrival),
-        hit_write_(padded_, 0),
-        inv_seq_(padded_, 0),
-        bank_row_(padded_, -1) {
+        arrival_ps_(capacity, kFreeArrival),
+        hit_write_(capacity, 0),
+        inv_seq_(capacity, 0),
+        bank_row_(capacity, -1) {
     free_.reserve(capacity);
     // Free slots popped back-to-front so the first pushes take slots 0, 1, ...
     for (std::size_t i = capacity; i > 0; --i) {
@@ -108,8 +105,7 @@ class RequestQueue {
 
   [[nodiscard]] QueueLanes lanes() const {
     return QueueLanes{arrival_ps_.data(), hit_write_.data(), inv_seq_.data(),
-                      static_cast<std::uint32_t>(slots_.size()),
-                      static_cast<std::uint32_t>(padded_)};
+                      static_cast<std::uint32_t>(slots_.size())};
   }
 
   /// True when the slot's row is open in its bank (readiness-scan hit bit).
@@ -241,7 +237,6 @@ class RequestQueue {
   std::uint32_t tail_ = kNil;
   std::size_t size_ = 0;
 
-  std::size_t padded_;
   std::vector<std::int64_t> arrival_ps_;
   std::vector<std::int64_t> hit_write_;
   std::vector<std::int64_t> inv_seq_;

@@ -1,4 +1,4 @@
-// Data-oriented arbitration kernels over the request queue's SoA lanes.
+// Data-oriented arbitration kernel over the request queue's SoA lanes.
 //
 // One masked pass answers FR-FCFS selection for the whole queue: per slot,
 // readiness (arrival <= horizon), the precomputed row-hit bit and the
@@ -8,19 +8,13 @@
 //
 // and the winner is the key maximum — identical, including FIFO tie-breaks,
 // to the old linked-list walk (inv_seq decreases per push, so older entries
-// carry strictly larger keys at equal rank). Free and padded slots carry
+// carry strictly larger keys at equal rank). Free slots carry
 // arrival = INT64_MAX and can never be ready, so no liveness mask is needed.
 // The row-hit bit lives in the hit_write lane, maintained incrementally by
 // the queue (seeded at push, re-derived on the rare ACT/PRE row changes), so
 // the scan touches exactly three contiguous lanes and needs no per-slot
-// open-row lookup.
-//
-// Two implementations sit behind a runtime dispatch: a scalar loop (the
-// portable reference, inlined into the controller) and an explicit AVX2
-// kernel compiled with a per-function target attribute. MCM_SIMD=off|scalar|0
-// forces the scalar path at runtime; controllers sample the dispatch once
-// at construction. The golden model in src/verify/ shares neither path —
-// mcm_fuzz differentially certifies both against it.
+// open-row lookup. The golden model in src/verify/ shares none of this code;
+// mcm_fuzz differentially certifies the scan against it.
 #pragma once
 
 #include <cstdint>
@@ -30,42 +24,19 @@
 
 namespace mcm::ctrl::kernels {
 
-enum class SimdLevel : std::uint8_t { kScalar = 0, kAvx2 = 1 };
-
-[[nodiscard]] constexpr std::string_view to_string(SimdLevel l) {
-  switch (l) {
-    case SimdLevel::kScalar: return "scalar";
-    case SimdLevel::kAvx2: return "avx2";
-  }
-  return "?";
-}
-
-/// Highest ISA the kernels were compiled for on this build ("avx2" on
-/// x86-64 builds, "scalar" elsewhere).
-[[nodiscard]] std::string_view compiled_isa();
-
-/// Runtime dispatch choice: the best compiled-in level the CPU supports,
-/// unless MCM_SIMD=off|scalar|0 forces scalar. Reads the environment on
-/// every call — cache the result (controllers sample it at construction).
-[[nodiscard]] SimdLevel active_level();
-
 /// Rank bits packed above inv_seq in the arbitration key.
 inline constexpr std::int64_t kHitKey = std::int64_t{2} << 60;
 inline constexpr std::int64_t kDirKey = std::int64_t{1} << 60;
 
-namespace detail {
-#if defined(__x86_64__)
-[[nodiscard]] std::uint32_t arb_scan_avx2(const QueueLanes& q,
-                                          std::int64_t horizon_ps,
-                                          std::int64_t dir_match);
-#endif
-}  // namespace detail
-
-/// Portable reference scan (also the MCM_SIMD=off path). Kept in the header
-/// so the controller's pick path pays no call overhead for it.
-[[nodiscard]] inline std::uint32_t arb_scan_scalar(const QueueLanes& q,
-                                                   std::int64_t horizon_ps,
-                                                   std::int64_t dir_match) {
+/// FR-FCFS masked scan over the queue lanes. Among slots with
+/// arrival <= horizon_ps, returns the slot maximizing (rank, FIFO age):
+/// rank = 2 * row_hit_bit + (write_bit == dir_match). Pass dir_match = -1
+/// when the bus direction is unknown (cold bus); the write bit is 0/1 so
+/// nothing matches. Returns RequestQueue::kNil when no slot is ready.
+/// Kept in the header so the controller's pick path pays no call overhead.
+[[nodiscard]] inline std::uint32_t arb_scan(const QueueLanes& q,
+                                            std::int64_t horizon_ps,
+                                            std::int64_t dir_match) {
   std::int64_t best_key = -1;
   std::uint32_t best = RequestQueue::kNil;
   for (std::uint32_t s = 0; s < q.capacity; ++s) {
@@ -82,30 +53,15 @@ namespace detail {
   return best;
 }
 
-/// Below this many lane slots the scalar loop wins: the AVX2 kernel pays a
-/// fixed setup cost (constant broadcasts, the four-lane reduce, the SSE/AVX
-/// transition on every out-of-line call) that 4 vector iterations cannot
-/// amortize. Measured crossover on the hot-path benchmark; the dispatch
-/// keeps the vector kernel for the deep queues where it earns its keep.
-inline constexpr std::uint32_t kAvx2MinSlots = 32;
+// Provenance constants for perfbench, which stamps the arbitration ISA into
+// every result file. The scan above is the only one, so they always report
+// "scalar"; they go when the benchmark drops the stamp in its next revision.
+enum class SimdLevel : std::uint8_t { kScalar = 0 };
 
-/// FR-FCFS masked scan over the queue lanes. Among slots with
-/// arrival <= horizon_ps, returns the slot maximizing (rank, FIFO age):
-/// rank = 2 * row_hit_bit + (write_bit == dir_match). Pass dir_match = -1
-/// when the bus direction is unknown (cold bus); the write bit is 0/1 so
-/// nothing matches. Returns RequestQueue::kNil when no slot is ready.
-[[nodiscard]] inline std::uint32_t arb_scan(const QueueLanes& q,
-                                            std::int64_t horizon_ps,
-                                            std::int64_t dir_match,
-                                            SimdLevel level) {
-#if defined(__x86_64__)
-  if (level == SimdLevel::kAvx2 && q.padded >= kAvx2MinSlots) {
-    return detail::arb_scan_avx2(q, horizon_ps, dir_match);
-  }
-#else
-  (void)level;
-#endif
-  return arb_scan_scalar(q, horizon_ps, dir_match);
+[[nodiscard]] constexpr std::string_view to_string(SimdLevel) {
+  return "scalar";
 }
+[[nodiscard]] constexpr std::string_view compiled_isa() { return "scalar"; }
+[[nodiscard]] constexpr SimdLevel active_level() { return SimdLevel::kScalar; }
 
 }  // namespace mcm::ctrl::kernels

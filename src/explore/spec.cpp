@@ -321,7 +321,7 @@ ExperimentSpec ExperimentSpec::from_config(const Config& cfg) {
       spec.base.sim.processing_margin = cfg.get_double(key, 0.15);
     } else if (key == "base.queue_depth") {
       spec.base.base.controller.queue_depth =
-          static_cast<std::uint32_t>(cfg.get_int(key, 8));
+          parse_u32_token(trim(value), key);
     } else if (key == "base.powerdown_idle_cycles") {
       spec.base.base.controller.powerdown_idle_cycles =
           static_cast<int>(cfg.get_int(key, 1));

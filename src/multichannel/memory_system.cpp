@@ -30,6 +30,9 @@ MemorySystem::MemorySystem(const SystemConfig& cfg)
       interleaver_(cfg.channels, cfg.interleave_bytes),
       route_counts_(cfg.channels, 0) {
   if (cfg.channels == 0) throw std::invalid_argument("channels must be > 0");
+  if (cfg.controller.queue_depth == 0) {
+    throw std::invalid_argument("controller queue_depth must be > 0");
+  }
   if (cfg.interleave_bytes < cfg.device.org.bytes_per_burst()) {
     throw std::invalid_argument(
         "interleave granularity below the minimum DRAM burst size");

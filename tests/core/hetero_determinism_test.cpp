@@ -1,7 +1,7 @@
 // Determinism certification for heterogeneous channel clusters: a system
 // mixing device classes (fast eDRAM, slow PCM, base mobile DDR, with and
 // without vault grouping) must produce byte-identical results across
-// MCM_SIM_THREADS in {1, 2, 8} x MCM_SIMD in {on, off} x chunk sizes.
+// MCM_SIM_THREADS in {1, 2, 8} x chunk sizes.
 // Per-channel timing asymmetry stresses exactly what the sharded engine's
 // stall bounds must not depend on: channels that run far ahead of (or
 // behind) their siblings.
@@ -9,7 +9,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -23,33 +22,6 @@ namespace {
 
 using load::CachedStage;
 using load::CachedWorkload;
-
-/// Scoped environment override (test-only; single-threaded test binary).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr) {
-      setenv(name, value, 1);
-    } else {
-      unsetenv(name);
-    }
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 multichannel::SystemConfig hetero_system(
     std::vector<dram::DeviceClass> classes, std::uint32_t vault_group = 0) {
@@ -131,33 +103,25 @@ void expect_identical(const RunResult& a, const RunResult& b,
   EXPECT_EQ(a.trace, b.trace) << "merged trace must be byte-identical";
 }
 
-/// Reference = MCM_SIMD=off, T1, chunk=1; every (simd, threads, chunk)
-/// combination must match it byte for byte.
+/// Reference = T1, chunk=1; every (threads, chunk) combination must match it
+/// byte for byte.
 void expect_hetero_invariant(const multichannel::SystemConfig& config) {
   const CachedWorkload wl = make_workload(600);
   const std::vector<const CachedWorkload*> frames{&wl, &wl};
   const Time period = Time::from_ms(2.0);
 
-  RunResult ref;
-  {
-    ScopedEnv env("MCM_SIMD", "off");
-    ref = run_once(config, frames, period, 1, 1);
-  }
+  const RunResult ref = run_once(config, frames, period, 1, 1);
   EXPECT_GT(ref.stats.reads + ref.stats.writes, 0u);
-  for (const char* simd : {"off", "on"}) {
-    ScopedEnv env("MCM_SIMD", simd);
-    for (const unsigned threads : {1u, 2u, 8u}) {
-      for (const unsigned chunk : {1u, 7u, 64u, 100000u}) {
-        expect_identical(ref, run_once(config, frames, period, threads, chunk),
-                         std::string("MCM_SIMD=") + simd +
-                             " T=" + std::to_string(threads) +
-                             " chunk=" + std::to_string(chunk));
-      }
+  for (const unsigned threads : {1u, 2u, 8u}) {
+    for (const unsigned chunk : {1u, 7u, 64u, 100000u}) {
+      expect_identical(ref, run_once(config, frames, period, threads, chunk),
+                       "T=" + std::to_string(threads) +
+                           " chunk=" + std::to_string(chunk));
     }
   }
 }
 
-TEST(HeteroDeterminism, MixedClassesAcrossThreadsSimdAndChunks) {
+TEST(HeteroDeterminism, MixedClassesAcrossThreadsAndChunks) {
   expect_hetero_invariant(hetero_system({
       dram::DeviceClass::kFastEdram,
       dram::DeviceClass::kSlowPcm,
@@ -166,7 +130,7 @@ TEST(HeteroDeterminism, MixedClassesAcrossThreadsSimdAndChunks) {
   }));
 }
 
-TEST(HeteroDeterminism, VaultGroupedAcrossThreadsSimdAndChunks) {
+TEST(HeteroDeterminism, VaultGroupedAcrossThreadsAndChunks) {
   expect_hetero_invariant(hetero_system(
       {
           dram::DeviceClass::kFastEdram,

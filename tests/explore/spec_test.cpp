@@ -85,6 +85,13 @@ TEST(ExperimentSpec, RejectsUnknownAndMalformedKeys) {
   EXPECT_THROW(ExperimentSpec::from_config(
                    Config::from_string("grid.page_policy = half-open")),
                ConfigError);
+  // A negative depth must not wrap to ~4e9 slots; zero is no queue at all.
+  EXPECT_THROW(ExperimentSpec::from_config(
+                   Config::from_string("base.queue_depth = -3")),
+               ConfigError);
+  EXPECT_THROW(ExperimentSpec::from_config(
+                   Config::from_string("base.queue_depth = 0")),
+               ConfigError);
 }
 
 TEST(ExperimentSpec, EmptyAxisRefusesToExpand) {

@@ -122,6 +122,9 @@ TEST(MemorySystem, RejectsInvalidConfig) {
   SystemConfig bad_gran = make_config(2);
   bad_gran.interleave_bytes = 8;  // below the 16 B burst
   EXPECT_THROW(MemorySystem{bad_gran}, std::invalid_argument);
+  SystemConfig no_queue = make_config(2);
+  no_queue.controller.queue_depth = 0;
+  EXPECT_THROW(MemorySystem{no_queue}, std::invalid_argument);
 }
 
 TEST(MemorySystem, AddressesBeyondCapacityWrapConsistently) {

@@ -28,6 +28,26 @@ TEST(DifferentialFuzz, FortyRandomScenariosAgree) {
   EXPECT_GT(requests, 0u);
 }
 
+/// random_scenario draws queue depths only up to 32; this slice pins
+/// FR-FCFS at depth 64 so the arbitration scan walks a deep queue on every
+/// pick, at one and at four sharded workers.
+TEST(DifferentialFuzz, DeepQueueScenariosAgree) {
+  mcm::Rng master(64);
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t case_seed = master.next_u64();
+    Scenario s = random_scenario(case_seed);
+    s.queue_depth = 64;
+    s.scheduler = "FR-FCFS";
+    for (const unsigned workers : {1u, 4u}) {
+      s.sim_threads = workers;
+      const auto mismatch = diff_scenario(s);
+      ASSERT_FALSE(mismatch.has_value())
+          << "case seed 0x" << std::hex << case_seed << std::dec
+          << " workers=" << workers << ": " << *mismatch;
+    }
+  }
+}
+
 TEST(DifferentialFuzz, ScenarioGenerationIsDeterministic) {
   const Scenario a = random_scenario(0xabcdef);
   const Scenario b = random_scenario(0xabcdef);

@@ -1,26 +1,22 @@
 // mcm_prof: inspect and compare engine self-profiles (obs/prof).
 //
-//   mcm_prof show <profile.json> [--cell LABEL]
+//   mcm_prof show <profile.json>
 //       Pretty-print a profile: per-phase calls, wall/self time, p50/p95.
-//   mcm_prof diff <old.json> <new.json> [--cell LABEL] [--tolerance F]
-//                 [--fail-on-regression]
+//   mcm_prof diff <old.json> <new.json> [--tolerance F] [--fail-on-regression]
 //       Per-phase deltas between two profiles plus a regression verdict.
-//       Also accepts two BENCH_hotpath.json snapshots (requests/s deltas).
-//   mcm_prof contention <profile.json> [--cell LABEL] [--baseline-cell LABEL]
+//   mcm_prof contention <profile.json> [<baseline.json>]
 //       Aggregate the sharded engine's per-worker phases (feed, drain,
 //       barrier wait), its epoch attribution, and the data-oriented kernel
 //       phases (ctrl/readiness_scan, ctrl/arbitration, ctrl/ledger_flush)
-//       when the profile recorded them. With
-//       --baseline-cell, report how much of the wall-clock gap between the
-//       two cells the measured waits explain.
-//   mcm_prof trace <profile.json> <out.json> [--cell LABEL]
+//       when the profile recorded them. With a baseline profile, report how
+//       much of the wall-clock gap between the two runs the measured waits
+//       explain.
+//   mcm_prof trace <profile.json> <out.json>
 //       Convert the embedded spans to Chrome trace_events JSON
 //       (chrome://tracing, ui.perfetto.dev).
 //
-// Input schemas are auto-detected: mcm.prof/v1 (one profile, as written by
-// FrameSimOptions::prof_path), mcm.prof_set/v1 (per-cell profiles, as
-// written by `bench_hotpath --profile`), and mcm.bench_hotpath/v1 (diff
-// only).
+// Every input is an mcm.prof/v1 document, as written by
+// FrameSimOptions::prof_path.
 #include <algorithm>
 #include <cctype>
 #include <cmath>
@@ -43,23 +39,7 @@ using namespace mcm;
 using obs::prof::ProfilePhase;
 using obs::prof::ProfileReport;
 
-struct LoadedProfile {
-  std::string label;  // empty for a bare mcm.prof/v1 file
-  ProfileReport report;
-  int iters = 0;             // prof_set cell metadata (0 when absent)
-  double wall_ms_best = 0;   //
-  double wall_ms_mean = 0;   //
-};
-
-struct LoadedFile {
-  std::string path;
-  std::string schema;
-  std::vector<LoadedProfile> profiles;
-  // mcm.bench_hotpath/v1: label -> (requests_per_s, wall_ms_best)
-  std::vector<std::pair<std::string, std::pair<double, double>>> bench;
-};
-
-std::optional<obs::JsonValue> parse_file(const std::string& path) {
+std::optional<ProfileReport> load(const std::string& path) {
   std::ifstream in(path);
   if (!in) {
     std::fprintf(stderr, "mcm_prof: cannot open '%s'\n", path.c_str());
@@ -68,99 +48,25 @@ std::optional<obs::JsonValue> parse_file(const std::string& path) {
   std::ostringstream ss;
   ss << in.rdbuf();
   std::string error;
-  auto doc = obs::json_parse(ss.str(), &error);
+  const auto doc = obs::json_parse(ss.str(), &error);
   if (!doc) {
     std::fprintf(stderr, "mcm_prof: '%s': %s\n", path.c_str(), error.c_str());
+    return std::nullopt;
   }
-  return doc;
-}
-
-std::optional<LoadedFile> load(const std::string& path) {
-  const auto doc = parse_file(path);
-  if (!doc) return std::nullopt;
-  LoadedFile f;
-  f.path = path;
   const obs::JsonValue* schema = doc->find("schema");
-  f.schema = schema != nullptr ? schema->as_string() : "";
-
-  if (f.schema == "mcm.prof/v1") {
-    LoadedProfile p;
-    if (!obs::prof::profile_from_json(*doc, p.report)) {
-      std::fprintf(stderr, "mcm_prof: '%s': malformed mcm.prof/v1 document\n",
-                   path.c_str());
-      return std::nullopt;
-    }
-    f.profiles.push_back(std::move(p));
-    return f;
+  const std::string name = schema != nullptr ? schema->as_string() : "";
+  if (name != "mcm.prof/v1") {
+    std::fprintf(stderr, "mcm_prof: '%s': unrecognized schema '%s'\n",
+                 path.c_str(), name.c_str());
+    return std::nullopt;
   }
-
-  if (f.schema == "mcm.prof_set/v1") {
-    const obs::JsonValue* cells = doc->find("cells");
-    for (std::size_t i = 0; cells != nullptr && i < cells->size(); ++i) {
-      const obs::JsonValue& cell = *cells->at(i);
-      LoadedProfile p;
-      if (const auto* v = cell.find("label")) p.label = v->as_string();
-      if (const auto* v = cell.find("iters")) p.iters = static_cast<int>(v->as_int());
-      if (const auto* v = cell.find("wall_ms_best")) p.wall_ms_best = v->as_double();
-      if (const auto* v = cell.find("wall_ms_mean")) p.wall_ms_mean = v->as_double();
-      const obs::JsonValue* prof = cell.find("profile");
-      if (prof == nullptr || !obs::prof::profile_from_json(*prof, p.report)) {
-        std::fprintf(stderr, "mcm_prof: '%s': cell '%s' has no valid profile\n",
-                     path.c_str(), p.label.c_str());
-        return std::nullopt;
-      }
-      f.profiles.push_back(std::move(p));
-    }
-    return f;
+  ProfileReport report;
+  if (!obs::prof::profile_from_json(*doc, report)) {
+    std::fprintf(stderr, "mcm_prof: '%s': malformed mcm.prof/v1 document\n",
+                 path.c_str());
+    return std::nullopt;
   }
-
-  if (f.schema == "mcm.bench_hotpath/v1") {
-    const obs::JsonValue* cells = doc->find("cells");
-    for (std::size_t i = 0; cells != nullptr && i < cells->size(); ++i) {
-      const obs::JsonValue& cell = *cells->at(i);
-      const auto* label = cell.find("label");
-      const auto* rps = cell.find("requests_per_s");
-      const auto* wall = cell.find("wall_ms_best");
-      if (label == nullptr) continue;
-      f.bench.emplace_back(
-          label->as_string(),
-          std::make_pair(rps != nullptr ? rps->as_double() : 0.0,
-                         wall != nullptr ? wall->as_double() : 0.0));
-    }
-    return f;
-  }
-
-  std::fprintf(stderr, "mcm_prof: '%s': unrecognized schema '%s'\n",
-               path.c_str(), f.schema.c_str());
-  return std::nullopt;
-}
-
-/// Select one profile by label: exact match first, then unique substring.
-const LoadedProfile* select_cell(const LoadedFile& f, const std::string& label) {
-  if (f.profiles.empty()) return nullptr;
-  if (label.empty()) return &f.profiles.front();
-  for (const LoadedProfile& p : f.profiles) {
-    if (p.label == label) return &p;
-  }
-  const LoadedProfile* found = nullptr;
-  for (const LoadedProfile& p : f.profiles) {
-    if (p.label.find(label) == std::string::npos) continue;
-    if (found != nullptr) {
-      std::fprintf(stderr, "mcm_prof: --cell '%s' is ambiguous in '%s'\n",
-                   label.c_str(), f.path.c_str());
-      return nullptr;
-    }
-    found = &p;
-  }
-  if (found == nullptr) {
-    std::fprintf(stderr, "mcm_prof: no cell matching '%s' in '%s' (have:",
-                 label.c_str(), f.path.c_str());
-    for (const LoadedProfile& p : f.profiles) {
-      std::fprintf(stderr, " %s", p.label.c_str());
-    }
-    std::fprintf(stderr, ")\n");
-  }
-  return found;
+  return report;
 }
 
 /// A phase with no recorded time is a pure counter (prof::count) or a value
@@ -169,14 +75,10 @@ bool is_counter_like(const ProfilePhase& p) { return p.wall_ns == 0; }
 
 double ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
 
-void show_profile(const LoadedProfile& p) {
-  if (!p.label.empty()) {
-    std::printf("cell %s  (%d iters, best %.2f ms, mean %.2f ms)\n",
-                p.label.c_str(), p.iters, p.wall_ms_best, p.wall_ms_mean);
-  }
+void show_profile(const ProfileReport& p) {
   std::vector<const ProfilePhase*> rows;
-  rows.reserve(p.report.phases.size());
-  for (const ProfilePhase& ph : p.report.phases) rows.push_back(&ph);
+  rows.reserve(p.phases.size());
+  for (const ProfilePhase& ph : p.phases) rows.push_back(&ph);
   std::sort(rows.begin(), rows.end(), [](const auto* a, const auto* b) {
     if (a->wall_ns != b->wall_ns) return a->wall_ns > b->wall_ns;
     return a->name < b->name;
@@ -201,59 +103,56 @@ void show_profile(const LoadedProfile& p) {
     std::printf("%-32s %12llu %10.1f / %-10.1f\n", ph->name.c_str(),
                 static_cast<unsigned long long>(ph->calls), ph->p50, ph->p95);
   }
-  if (!p.report.thread_labels.empty()) {
+  if (!p.thread_labels.empty()) {
     std::printf("threads:");
-    for (const auto& [tid, label] : p.report.thread_labels) {
+    for (const auto& [tid, label] : p.thread_labels) {
       std::printf(" %u=%s", tid, label.c_str());
     }
     std::printf("\n");
   }
-  if (p.report.dropped_spans > 0) {
+  if (p.dropped_spans > 0) {
     std::printf("dropped spans: %llu\n",
-                static_cast<unsigned long long>(p.report.dropped_spans));
+                static_cast<unsigned long long>(p.dropped_spans));
   }
+}
+
+/// Number of simulation runs accumulated into the profile (its sim/run call
+/// count; 1 when the phase is absent).
+double run_count(const ProfileReport& p) {
+  const ProfilePhase* run = p.find("sim/run");
+  return run != nullptr && run->calls > 0 ? static_cast<double>(run->calls)
+                                          : 1.0;
 }
 
 /// Per-run wall time of the profile, ms: the sim/run phase normalized by its
 /// call count (multiple iterations accumulate into one profile). Falls back
-/// to the cell's measured mean, then to the largest phase wall.
-double per_run_wall_ms(const LoadedProfile& p) {
-  if (const ProfilePhase* run = p.report.find("sim/run");
+/// to the largest phase wall.
+double per_run_wall_ms(const ProfileReport& p) {
+  if (const ProfilePhase* run = p.find("sim/run");
       run != nullptr && run->calls > 0) {
     return ms(run->wall_ns) / static_cast<double>(run->calls);
   }
-  if (p.wall_ms_mean > 0) return p.wall_ms_mean;
   std::int64_t best = 0;
-  for (const ProfilePhase& ph : p.report.phases) {
+  for (const ProfilePhase& ph : p.phases) {
     best = std::max(best, ph.wall_ns);
   }
   return ms(best);
 }
 
-int diff_profiles(const LoadedProfile& a, const LoadedProfile& b,
+int diff_profiles(const ProfileReport& a, const ProfileReport& b,
                   double tolerance, bool fail_on_regression) {
-  if (!a.label.empty() || !b.label.empty()) {
-    std::printf("cell %s\n", (!b.label.empty() ? b.label : a.label).c_str());
-  }
-
   struct Row {
     const ProfilePhase* oldp = nullptr;
     const ProfilePhase* newp = nullptr;
   };
   std::map<std::string, Row> rows;
-  for (const ProfilePhase& ph : a.report.phases) rows[ph.name].oldp = &ph;
-  for (const ProfilePhase& ph : b.report.phases) rows[ph.name].newp = &ph;
+  for (const ProfilePhase& ph : a.phases) rows[ph.name].oldp = &ph;
+  for (const ProfilePhase& ph : b.phases) rows[ph.name].newp = &ph;
 
   // Normalize to per-run time so profiles with different iteration counts
   // compare fairly.
-  const double runs_a = [&] {
-    const ProfilePhase* run = a.report.find("sim/run");
-    return run != nullptr && run->calls > 0 ? static_cast<double>(run->calls) : 1.0;
-  }();
-  const double runs_b = [&] {
-    const ProfilePhase* run = b.report.find("sim/run");
-    return run != nullptr && run->calls > 0 ? static_cast<double>(run->calls) : 1.0;
-  }();
+  const double runs_a = run_count(a);
+  const double runs_b = run_count(b);
 
   std::vector<std::pair<double, std::string>> printed;  // |delta| -> line
   for (const auto& [name, row] : rows) {
@@ -306,36 +205,6 @@ int diff_profiles(const LoadedProfile& a, const LoadedProfile& b,
   std::printf("  per-run wall: %.3f ms -> %.3f ms (%+.1f %%), tolerance %.0f %%\n",
               wall_a, wall_b, (ratio - 1.0) * 100.0, tolerance * 100.0);
   std::printf("  verdict: %s\n", regressed ? "REGRESSION" : "ok");
-  return regressed && fail_on_regression ? 1 : 0;
-}
-
-int diff_bench(const LoadedFile& a, const LoadedFile& b, double tolerance,
-               bool fail_on_regression) {
-  std::printf("%-24s %16s %16s\n", "cell", "old req/s", "new req/s");
-  bool regressed = false;
-  for (const auto& [label, nums] : b.bench) {
-    const auto [new_rps, new_wall] = nums;
-    double old_rps = 0;
-    for (const auto& [l, n] : a.bench) {
-      if (l == label) old_rps = n.first;
-    }
-    if (old_rps <= 0) {
-      std::printf("%-24s %16s %16.0f  (new cell)\n", label.c_str(), "-", new_rps);
-      continue;
-    }
-    const double ratio = new_rps / old_rps;
-    const bool bad = ratio < 1.0 - tolerance;
-    regressed = regressed || bad;
-    std::printf("%-24s %16.0f %16.0f  (%+.1f %%)%s\n", label.c_str(), old_rps,
-                new_rps, (ratio - 1.0) * 100.0, bad ? " REGRESSION" : "");
-  }
-  for (const auto& [label, nums] : a.bench) {
-    bool present = false;
-    for (const auto& [l, n] : b.bench) present = present || l == label;
-    if (!present) std::printf("%-24s missing from new snapshot\n", label.c_str());
-  }
-  std::printf("verdict: %s (tolerance %.0f %%)\n",
-              regressed ? "REGRESSION" : "ok", tolerance * 100.0);
   return regressed && fail_on_regression ? 1 : 0;
 }
 
@@ -395,14 +264,13 @@ std::map<unsigned, WorkerWaits> worker_waits(const ProfileReport& rep) {
   return out;
 }
 
-int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
-  const auto waits = worker_waits(p.report);
+int contention(const ProfileReport& p, const ProfileReport* baseline) {
+  const auto waits = worker_waits(p);
   if (waits.empty()) {
     std::printf("no engine/w* phases in this profile (run with profiling "
                 "enabled and sim_threads >= 1)\n");
     return 1;
   }
-  if (!p.label.empty()) std::printf("cell %s\n", p.label.c_str());
   std::printf("%-8s %10s %10s %14s %12s\n", "worker", "feed [ms]",
               "drain [ms]", "barrier [ms]", "retired");
   std::int64_t total_wait_ns = 0;
@@ -418,14 +286,10 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
   }
 
   // Epoch-batched engine attribution (absent for sequential runs).
-  const ProfilePhase* epochs = p.report.find("engine/epoch_publish");
-  const ProfilePhase* rollback = p.report.find("engine/rollback");
-  const ProfilePhase* proven = p.report.find("engine/proven_positions");
-  const double runs = [&] {
-    const ProfilePhase* run = p.report.find("sim/run");
-    return run != nullptr && run->calls > 0 ? static_cast<double>(run->calls)
-                                            : 1.0;
-  }();
+  const ProfilePhase* epochs = p.find("engine/epoch_publish");
+  const ProfilePhase* rollback = p.find("engine/rollback");
+  const ProfilePhase* proven = p.find("engine/proven_positions");
+  const double runs = run_count(p);
   if (epochs != nullptr && epochs->calls > 0) {
     std::printf("%-8s %12s %12s %12s %12s %18s\n", "worker", "spec [ms]",
                 "valid [ms]", "snap [ms]", "publishes", "spec depth p50/p95");
@@ -454,7 +318,7 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
       std::printf("rollbacks: none\n");
     }
   }
-  const ProfilePhase* fallback = p.report.find("engine/sequential_fallback");
+  const ProfilePhase* fallback = p.find("engine/sequential_fallback");
   if (fallback != nullptr && fallback->calls > 0) {
     std::printf("sequential fallbacks: %.1f/run (the engine log names the "
                 "reason)\n",
@@ -469,7 +333,7 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
                                    "ctrl/ledger_flush"};
     bool header = false;
     for (const char* name : kernel_phases) {
-      const ProfilePhase* ph = p.report.find(name);
+      const ProfilePhase* ph = p.find(name);
       if (ph == nullptr || ph->calls == 0) continue;
       if (!header) {
         std::printf("%-22s %14s %14s %14s\n", "kernel", "calls/run",
@@ -494,16 +358,15 @@ int contention(const LoadedProfile& p, const LoadedProfile* baseline) {
   if (baseline != nullptr) {
     // Workers wait concurrently, so the critical-path (slowest-worker) wait
     // is what shows up on the wall clock; summing across workers would
-    // overstate the gap more the more workers the cell has, making cells
+    // overstate the gap more the more workers the run has, making runs
     // with different worker counts incomparable.
-    const auto base_waits = worker_waits(baseline->report);
+    const auto base_waits = worker_waits(*baseline);
     const double base_ms = per_run_wall_ms(*baseline);
     const double cur_ms = per_run_wall_ms(p);
     const double gap = cur_ms - base_ms;
-    std::printf("baseline cell %s (%zu worker(s)): %.2f ms/run vs %.2f ms/run "
+    std::printf("baseline (%zu worker(s)): %.2f ms/run vs %.2f ms/run "
                 "(%.0f worker(s)) -> gap %.2f ms\n",
-                baseline->label.c_str(), base_waits.size(), base_ms, cur_ms,
-                workers, gap);
+                base_waits.size(), base_ms, cur_ms, workers, gap);
     if (gap > 0) {
       std::printf("slowest-worker wait explains %.0f %% of the gap "
                   "(all-worker sum: %.0f %%)\n",
@@ -522,11 +385,10 @@ void usage() {
   std::fprintf(
       stderr,
       "usage: mcm_prof <command> [args]\n"
-      "  show <profile.json> [--cell LABEL]\n"
-      "  diff <old.json> <new.json> [--cell LABEL] [--tolerance F]\n"
-      "       [--fail-on-regression]\n"
-      "  contention <profile.json> [--cell LABEL] [--baseline-cell LABEL]\n"
-      "  trace <profile.json> <out.json> [--cell LABEL]\n");
+      "  show <profile.json>\n"
+      "  diff <old.json> <new.json> [--tolerance F] [--fail-on-regression]\n"
+      "  contention <profile.json> [<baseline.json>]\n"
+      "  trace <profile.json> <out.json>\n");
 }
 
 }  // namespace
@@ -538,19 +400,10 @@ int main(int argc, char** argv) {
   }
   const std::string cmd = argv[1];
   std::vector<std::string> positional;
-  std::string cell;
-  std::string baseline_cell;
   double tolerance = 0.20;
   bool fail_on_regression = false;
-  if (const char* env = std::getenv("MCM_PERF_TOLERANCE")) {
-    tolerance = std::strtod(env, nullptr);
-  }
   for (int i = 2; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--cell") == 0 && i + 1 < argc) {
-      cell = argv[++i];
-    } else if (std::strcmp(argv[i], "--baseline-cell") == 0 && i + 1 < argc) {
-      baseline_cell = argv[++i];
-    } else if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
       tolerance = std::strtod(argv[++i], nullptr);
     } else if (std::strcmp(argv[i], "--fail-on-regression") == 0) {
       fail_on_regression = true;
@@ -563,23 +416,9 @@ int main(int argc, char** argv) {
   }
 
   if (cmd == "show" && positional.size() == 1) {
-    const auto f = load(positional[0]);
-    if (!f) return 2;
-    if (f->profiles.empty()) {
-      std::fprintf(stderr, "mcm_prof: '%s' holds no profiles\n",
-                   f->path.c_str());
-      return 2;
-    }
-    if (cell.empty() && f->profiles.size() > 1) {
-      for (std::size_t i = 0; i < f->profiles.size(); ++i) {
-        if (i > 0) std::printf("\n");
-        show_profile(f->profiles[i]);
-      }
-    } else {
-      const LoadedProfile* p = select_cell(*f, cell);
-      if (p == nullptr) return 2;
-      show_profile(*p);
-    }
+    const auto p = load(positional[0]);
+    if (!p) return 2;
+    show_profile(*p);
     return 0;
   }
 
@@ -587,61 +426,25 @@ int main(int argc, char** argv) {
     const auto a = load(positional[0]);
     const auto b = load(positional[1]);
     if (!a || !b) return 2;
-    if (!a->bench.empty() || !b->bench.empty()) {
-      if (a->bench.empty() || b->bench.empty()) {
-        std::fprintf(stderr,
-                     "mcm_prof: cannot diff a bench snapshot against a "
-                     "profile\n");
-        return 2;
-      }
-      return diff_bench(*a, *b, tolerance, fail_on_regression);
-    }
-    // Profile vs profile: diff matching cells (all common labels, or the one
-    // --cell selects).
-    if (!cell.empty() || a->profiles.size() == 1) {
-      const LoadedProfile* pa = select_cell(*a, cell);
-      const LoadedProfile* pb = select_cell(*b, cell);
-      if (pa == nullptr || pb == nullptr) return 2;
-      return diff_profiles(*pa, *pb, tolerance, fail_on_regression);
-    }
-    int rc = 0;
-    bool any = false;
-    for (const LoadedProfile& pa : a->profiles) {
-      const LoadedProfile* pb = nullptr;
-      for (const LoadedProfile& q : b->profiles) {
-        if (q.label == pa.label) pb = &q;
-      }
-      if (pb == nullptr) continue;
-      if (any) std::printf("\n");
-      any = true;
-      rc |= diff_profiles(pa, *pb, tolerance, fail_on_regression);
-    }
-    if (!any) {
-      std::fprintf(stderr, "mcm_prof: no common cells between the inputs\n");
-      return 2;
-    }
-    return rc;
+    return diff_profiles(*a, *b, tolerance, fail_on_regression);
   }
 
-  if (cmd == "contention" && positional.size() == 1) {
-    const auto f = load(positional[0]);
-    if (!f) return 2;
-    const LoadedProfile* p = select_cell(*f, cell);
-    if (p == nullptr) return 2;
-    const LoadedProfile* base = nullptr;
-    if (!baseline_cell.empty()) {
-      base = select_cell(*f, baseline_cell);
-      if (base == nullptr) return 2;
+  if (cmd == "contention" &&
+      (positional.size() == 1 || positional.size() == 2)) {
+    const auto p = load(positional[0]);
+    if (!p) return 2;
+    std::optional<ProfileReport> base;
+    if (positional.size() == 2) {
+      base = load(positional[1]);
+      if (!base) return 2;
     }
-    return contention(*p, base);
+    return contention(*p, base ? &*base : nullptr);
   }
 
   if (cmd == "trace" && positional.size() == 2) {
-    const auto f = load(positional[0]);
-    if (!f) return 2;
-    const LoadedProfile* p = select_cell(*f, cell);
-    if (p == nullptr) return 2;
-    if (p->report.spans.empty()) {
+    const auto p = load(positional[0]);
+    if (!p) return 2;
+    if (p->spans.empty()) {
       std::fprintf(stderr,
                    "mcm_prof: profile has no spans (written with "
                    "with_spans=false?)\n");
@@ -653,8 +456,8 @@ int main(int argc, char** argv) {
                    positional[1].c_str());
       return 2;
     }
-    p->report.write_chrome_trace(out);
-    std::printf("wrote %zu spans to %s\n", p->report.spans.size(),
+    p->write_chrome_trace(out);
+    std::printf("wrote %zu spans to %s\n", p->spans.size(),
                 positional[1].c_str());
     return 0;
   }
