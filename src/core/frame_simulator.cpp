@@ -1,11 +1,12 @@
 #include "core/frame_simulator.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <fstream>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "common/log.hpp"
@@ -77,7 +78,15 @@ FrameSimResult FrameSimulator::run(const multichannel::SystemConfig& system,
 FrameSimResult FrameSimulator::run_impl(
     const multichannel::SystemConfig& system,
     const video::UseCaseParams& usecase) const {
-  assert(opt_.frames >= 1);
+  if (opt_.frames < 1) {
+    throw std::invalid_argument("FrameSimOptions::frames must be >= 1, got " +
+                                std::to_string(opt_.frames));
+  }
+  if (opt_.gop_length < 0) {
+    throw std::invalid_argument(
+        "FrameSimOptions::gop_length must be >= 0, got " +
+        std::to_string(opt_.gop_length));
+  }
   const video::UseCaseModel model(usecase);
 
   multichannel::MemorySystem sys(system);

@@ -37,13 +37,16 @@ enum class ExecutionMode : std::uint8_t {
 };
 
 struct FrameSimOptions {
-  int frames = 1;  // frames to simulate (stats averaged per frame)
+  // Frames to simulate (stats averaged per frame); run() throws
+  // std::invalid_argument below 1.
+  int frames = 1;
   ExecutionMode mode = ExecutionMode::kStateMachine;
   load::LoadOptions load;
   double processing_margin = 0.15;  // paper Fig. 5: 15 % margin for data processing
 
   /// GOP structure: every gop_length-th frame is an I frame (no reference
-  /// traffic). 0 or 1 = every frame predicted (the paper's steady state).
+  /// traffic). 0 or 1 = every frame predicted (the paper's steady state);
+  /// run() throws std::invalid_argument on a negative value.
   int gop_length = 0;
 
   /// Worker threads for channel-sharded execution of kStateMachine runs

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <string>
 
 #include "video/h264_levels.hpp"
 
@@ -47,6 +49,18 @@ namespace {
                       token + "'");
   }
   return u;
+}
+
+/// An integer key that must not be negative (a negative value would wrap
+/// or be silently accepted downstream), nor exceed `max`.
+[[nodiscard]] std::int64_t parse_count(const Config& cfg, const std::string& key,
+                                       std::int64_t max) {
+  const std::int64_t v = cfg.get_int(key, 0);
+  if (v < 0 || v > max) {
+    throw ConfigError("config key '" + key + "': expected an integer in [0, " +
+                      std::to_string(max) + "], got " + std::to_string(v));
+  }
+  return v;
 }
 
 /// splitmix64 step, used to fold point coordinates into the seed chain.
@@ -314,9 +328,11 @@ ExperimentSpec ExperimentSpec::from_config(const Config& cfg) {
     } else if (key == "base.seed") {
       spec.base_seed = static_cast<std::uint64_t>(cfg.get_int(key, 1));
     } else if (key == "base.frames") {
-      spec.base.sim.frames = static_cast<int>(cfg.get_int(key, 1));
+      spec.base.sim.frames =
+          static_cast<int>(parse_u32_token(trim(value), key));
     } else if (key == "base.gop_length") {
-      spec.base.sim.gop_length = static_cast<int>(cfg.get_int(key, 0));
+      spec.base.sim.gop_length = static_cast<int>(
+          parse_count(cfg, key, std::numeric_limits<int>::max()));
     } else if (key == "base.processing_margin") {
       spec.base.sim.processing_margin = cfg.get_double(key, 0.15);
     } else if (key == "base.queue_depth") {
@@ -330,7 +346,8 @@ ExperimentSpec ExperimentSpec::from_config(const Config& cfg) {
           static_cast<int>(cfg.get_int(key, -1));
     } else if (key == "base.refresh_postpone_max") {
       spec.base.base.controller.refresh_postpone_max =
-          static_cast<std::uint32_t>(cfg.get_int(key, 0));
+          static_cast<std::uint32_t>(
+              parse_count(cfg, key, std::numeric_limits<std::uint32_t>::max()));
     } else if (key.rfind("grid.", 0) == 0 || key.rfind("base.", 0) == 0) {
       throw ConfigError("unknown experiment spec key '" + key + "'");
     }

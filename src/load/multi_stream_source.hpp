@@ -40,6 +40,10 @@ class MultiStreamSource final : public TrafficSource {
   /// over [start, start + duration] instead of all-at-start.
   void set_pacing(Time duration) override { pace_duration_ = duration; }
 
+  /// Bulk drain: one chunk at a time, with the window offset computed once
+  /// per chunk and wrapped per burst.
+  void append_packed(std::vector<std::uint64_t>& out) override;
+
  private:
   struct StreamState {
     StreamSpec spec;

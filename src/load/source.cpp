@@ -20,4 +20,12 @@ void TrafficSource::set_pacing(Time duration) {
   });
 }
 
+void TrafficSource::append_packed(std::vector<std::uint64_t>& out) {
+  while (!done()) {
+    const ctrl::Request r = head();
+    advance();
+    out.push_back(pack_request(r.addr, r.is_write));
+  }
+}
+
 }  // namespace mcm::load

@@ -7,11 +7,19 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/units.hpp"
 #include "controller/request.hpp"
 
 namespace mcm::load {
+
+/// A request packed into one word: byte address | (is_write << 63).
+inline constexpr std::uint64_t kPackedWriteBit = std::uint64_t{1} << 63;
+[[nodiscard]] inline std::uint64_t pack_request(std::uint64_t addr,
+                                                bool is_write) {
+  return addr | (is_write ? kPackedWriteBit : 0);
+}
 
 class TrafficSource {
  public:
@@ -35,6 +43,12 @@ class TrafficSource {
   /// a scenario that asks an unsupporting source to pace is visible instead
   /// of silently bursty.
   virtual void set_pacing(Time duration);
+
+  /// Drain every remaining request into `out`, packed with pack_request(),
+  /// in the order head()/advance() would produce them; the source is done()
+  /// afterwards. The default walks head()/advance(); sources with a closed
+  /// form override it with a bulk loop.
+  virtual void append_packed(std::vector<std::uint64_t>& out);
 };
 
 }  // namespace mcm::load

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 
 #include "common/log.hpp"
 #include "obs/prof.hpp"
@@ -19,16 +20,20 @@ constexpr std::uint64_t kMaxCachedBytes = std::uint64_t{2} << 30;
 std::string make_key(const video::UseCaseParams& p, std::uint64_t alignment,
                      const LoadOptions& opt) {
   char buf[256];
-  std::snprintf(buf, sizeof buf,
-                "l%d z%.17g b%.17g a%.17g e%.17g rp%d d%ux%u@%.17g al%llu "
-                "c%u bu%u mw%d s%llu",
-                static_cast<int>(p.level), p.digizoom, p.stabilization_border,
-                p.audio_mbps, p.encoder_ref_factor,
-                static_cast<int>(p.ref_policy), p.display.width,
-                p.display.height, p.display_refresh_hz,
-                static_cast<unsigned long long>(alignment), opt.chunk_bytes,
-                opt.burst_bytes, opt.motion_window_encoder ? 1 : 0,
-                static_cast<unsigned long long>(opt.seed));
+  const int n = std::snprintf(
+      buf, sizeof buf,
+      "l%d z%.17g b%.17g a%.17g e%.17g rp%d d%ux%u@%.17g al%llu c%u bu%u mw%d",
+      static_cast<int>(p.level), p.digizoom, p.stabilization_border,
+      p.audio_mbps, p.encoder_ref_factor, static_cast<int>(p.ref_policy),
+      p.display.width, p.display.height, p.display_refresh_hz,
+      static_cast<unsigned long long>(alignment), opt.chunk_bytes,
+      opt.burst_bytes, opt.motion_window_encoder ? 1 : 0);
+  // Only the motion-window encoder reads the seed; every other stream is
+  // the same at any seed, so points that differ only in seed share it.
+  if (opt.motion_window_encoder) {
+    std::snprintf(buf + n, sizeof buf - static_cast<std::size_t>(n), " s%llu",
+                  static_cast<unsigned long long>(opt.seed));
+  }
   return buf;
 }
 
@@ -55,15 +60,10 @@ std::shared_ptr<CachedWorkload> build_video_workload(
   for (auto& src : sources) {
     CachedStage stage;
     stage.name = std::string(src->name());
-    src->set_start(Time::zero());
+    if (!src->done()) stage.source_id = src->head().source;
     // One request per device burst, so the request count is known up front.
     stage.reqs.reserve(src->total_bytes() / std::max(1u, opt.burst_bytes));
-    while (!src->done()) {
-      const ctrl::Request r = src->head();
-      src->advance();
-      if (stage.reqs.empty()) stage.source_id = r.source;
-      stage.reqs.push_back(CachedStage::pack(r.addr, r.is_write));
-    }
+    src->append_packed(stage.reqs);
     wl->total_requests += stage.reqs.size();
     wl->stages.push_back(std::move(stage));
   }
@@ -134,8 +134,8 @@ void StreamCache::warn_capped_locked(const std::string& key,
       static_cast<unsigned long long>(bytes), key.c_str());
 }
 
-void StreamCache::try_retain_locked(
-    const std::string& key, const std::shared_ptr<const CachedWorkload>& wl) {
+void StreamCache::try_retain_locked(const std::string& key,
+                                    const WorkloadPtr& wl) {
   if (bytes_ + meta_bytes_ + wl->footprint_bytes() <= kMaxCachedBytes) {
     bytes_ += wl->footprint_bytes();
     map_.emplace(key, wl);
@@ -147,31 +147,8 @@ void StreamCache::try_retain_locked(
 std::shared_ptr<const CachedWorkload> StreamCache::get(
     const video::UseCaseModel& model, const video::SurfaceLayout& layout,
     std::uint64_t alignment, const LoadOptions& opt) {
-  if (!enabled()) return generate(model, layout, opt);
-  static const obs::prof::PhaseId kHit = obs::prof::phase_id("stream_cache/hit");
-  static const obs::prof::PhaseId kMiss =
-      obs::prof::phase_id("stream_cache/miss");
-  const std::string key = make_key(model.params(), alignment, opt);
-  {
-    std::lock_guard lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      obs::prof::count(kHit, 1);
-      return it->second;
-    }
-  }
-  obs::prof::count(kMiss, 1);
-  // Generate outside the lock: two threads may race to build the same
-  // format, in which case the first insert wins and the loser's copy is
-  // dropped (both are identical by construction).
-  auto wl = build_video_workload(model, layout, opt);
-  wl->key = key;
-  std::lock_guard lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) return it->second;
-  std::shared_ptr<const CachedWorkload> frozen = std::move(wl);
-  try_retain_locked(key, frozen);
-  return frozen;
+  return get_keyed(make_key(model.params(), alignment, opt),
+                   [&] { return build_video_workload(model, layout, opt); });
 }
 
 std::shared_ptr<const CachedWorkload> StreamCache::get_keyed(
@@ -181,22 +158,49 @@ std::shared_ptr<const CachedWorkload> StreamCache::get_keyed(
   static const obs::prof::PhaseId kHit = obs::prof::phase_id("stream_cache/hit");
   static const obs::prof::PhaseId kMiss =
       obs::prof::phase_id("stream_cache/miss");
+  static const obs::prof::PhaseId kWait =
+      obs::prof::phase_id("stream_cache/wait");
+  // Single flight: the first miss on a key registers a future and builds
+  // outside the lock; later misses on the same key wait on that future
+  // instead of building a second copy.
+  std::promise<WorkloadPtr> promise;
+  std::shared_future<WorkloadPtr> pending;
   {
     std::lock_guard lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
+    if (const auto it = map_.find(key); it != map_.end()) {
       obs::prof::count(kHit, 1);
       return it->second;
     }
+    if (const auto it = inflight_.find(key); it != inflight_.end()) {
+      pending = it->second;
+    } else {
+      inflight_.emplace(key, promise.get_future().share());
+    }
+  }
+  if (pending.valid()) {
+    obs::prof::count(kWait, 1);
+    return pending.get();  // rethrows the builder's exception
   }
   obs::prof::count(kMiss, 1);
-  auto wl = build();
-  wl->key = key;
-  std::lock_guard lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) return it->second;
-  std::shared_ptr<const CachedWorkload> frozen = std::move(wl);
-  try_retain_locked(key, frozen);
+  WorkloadPtr frozen;
+  try {
+    auto wl = build();
+    wl->key = key;
+    frozen = std::move(wl);
+  } catch (...) {
+    {
+      std::lock_guard lock(mutex_);
+      inflight_.erase(key);
+    }
+    promise.set_exception(std::current_exception());
+    throw;
+  }
+  {
+    std::lock_guard lock(mutex_);
+    try_retain_locked(key, frozen);
+    inflight_.erase(key);
+  }
+  promise.set_value(frozen);
   return frozen;
 }
 

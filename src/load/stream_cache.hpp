@@ -1,12 +1,15 @@
 // Workload stream cache: the per-frame request stream of a use-case format
-// is a pure function of (UseCaseParams, surface alignment, LoadOptions) —
-// addresses and ordering are channel-count and frequency invariant because
-// surfaces are aligned to a whole interleave stripe and requests in the
-// paper's state-machine mode all arrive at the stage start. Generating it
-// through the load models costs a large share of a grid point's wall clock,
-// so the cache enumerates each format once and replays the flat arrays into
-// every grid point that shares it (all Fig. 3 frequency points, every
-// channel count of a Fig. 4 row).
+// is a pure function of (UseCaseParams, surface alignment, chunk and burst
+// size, encoder address pattern) — plus the load seed, but only for the
+// motion-window encoder, the one model that reads it. Addresses and
+// ordering are channel-count and frequency invariant because surfaces are
+// aligned to a whole interleave stripe and requests in the paper's
+// state-machine mode all arrive at the stage start. Generating it through
+// the load models costs a large share of a grid point's wall clock, so the
+// cache enumerates each format once and replays the flat arrays into every
+// grid point that shares it (all Fig. 3 frequency points, every channel
+// count of a Fig. 4 row, whatever their seeds). Concurrent misses on one
+// key wait for a single build.
 //
 // A cached request packs (global byte address | is_write) into one word;
 // stage name / source id / ordering are preserved so the frame simulator
@@ -16,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <future>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -34,9 +38,9 @@ struct CachedStage {
   std::uint16_t source_id = 0xffff;  // 0xffff = stage emitted no requests
   std::vector<std::uint64_t> reqs;   // addr | (is_write << 63), stream order
 
-  static constexpr std::uint64_t kWriteBit = std::uint64_t{1} << 63;
+  static constexpr std::uint64_t kWriteBit = kPackedWriteBit;
   [[nodiscard]] static std::uint64_t pack(std::uint64_t addr, bool is_write) {
-    return addr | (is_write ? kWriteBit : 0);
+    return pack_request(addr, is_write);
   }
   [[nodiscard]] static std::uint64_t addr_of(std::uint64_t packed) {
     return packed & (kWriteBit - 1);
@@ -115,11 +119,14 @@ class StreamCache {
       const video::UseCaseModel& model, const video::SurfaceLayout& layout,
       const LoadOptions& opt);
 
-  /// Keyed memoization for non-video frontends (workload/): the cached
-  /// workload for `key`, built with `build` on first use. Callers must make
-  /// `key` a pure function of everything `build` depends on. Honors
-  /// MCM_STREAM_CACHE=off and the byte cap like get(). The builder returns a
-  /// mutable workload so the cache can stamp the key on it.
+  /// Keyed memoization (get() and the non-video frontends in workload/):
+  /// the cached workload for `key`, built with `build` on first use.
+  /// Callers must make `key` a pure function of everything `build` depends
+  /// on. Concurrent misses on one key run `build` once; the others wait for
+  /// it and share its result, or its exception (the key is then forgotten,
+  /// so a later call rebuilds). Honors MCM_STREAM_CACHE=off and the byte
+  /// cap. The builder returns a mutable workload so the cache can stamp the
+  /// key on it.
   std::shared_ptr<const CachedWorkload> get_keyed(
       const std::string& key,
       const std::function<std::shared_ptr<CachedWorkload>()>& build);
@@ -143,15 +150,18 @@ class StreamCache {
   [[nodiscard]] StreamCacheStats stats();
 
  private:
+  using WorkloadPtr = std::shared_ptr<const CachedWorkload>;
+
   /// Retain `wl` under `key` if the soft cap allows; warns once per key when
   /// it does not. Caller holds mutex_.
-  void try_retain_locked(const std::string& key,
-                         const std::shared_ptr<const CachedWorkload>& wl);
+  void try_retain_locked(const std::string& key, const WorkloadPtr& wl);
   void warn_capped_locked(const std::string& key, std::uint64_t bytes);
 
   // Workloads are immutable once built; the mutex only guards the maps.
   std::mutex mutex_;
-  std::unordered_map<std::string, std::shared_ptr<const CachedWorkload>> map_;
+  std::unordered_map<std::string, WorkloadPtr> map_;
+  // Builds in progress, one per key; erased by the builder when it finishes.
+  std::unordered_map<std::string, std::shared_future<WorkloadPtr>> inflight_;
   std::unordered_map<std::string, std::shared_ptr<const ChunkMeta>> meta_map_;
   std::unordered_set<std::string> capped_warned_;
   std::uint64_t bytes_ = 0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "core/experiments.hpp"
 
 namespace mcm::core {
@@ -27,6 +29,24 @@ TEST(FrameSimulator, Serves720pFrameWithinPeriodOnTwoChannels) {
   EXPECT_LT(r.access_time, r.frame_period);
   EXPECT_TRUE(r.meets_realtime);
   EXPECT_NEAR(r.frame_period.ms(), 33.33, 0.01);
+}
+
+TEST(FrameSimulator, RejectsNonPositiveFramesAndNegativeGop) {
+  // Checked in every build type: a zero frame count used to divide by zero
+  // in Release, where the old assert compiled out.
+  for (const int frames : {0, -2}) {
+    FrameSimOptions opt;
+    opt.frames = frames;
+    EXPECT_THROW((void)FrameSimulator(opt).run(
+                     system_for(1), usecase_for(video::H264Level::k31)),
+                 std::invalid_argument)
+        << "frames = " << frames;
+  }
+  FrameSimOptions opt;
+  opt.gop_length = -1;
+  EXPECT_THROW((void)FrameSimulator(opt).run(system_for(1),
+                                             usecase_for(video::H264Level::k31)),
+               std::invalid_argument);
 }
 
 TEST(FrameSimulator, TrafficVolumeMatchesTableI) {

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "explore/explore_export.hpp"
+#include "load/stream_cache.hpp"
 #include "obs/metrics.hpp"
 #include "obs/run_report.hpp"
 
@@ -159,6 +162,29 @@ TEST(Orchestrator, PointListRunEvaluatesGivenPointsInOrder) {
   EXPECT_EQ(run.results[1].point, b);
   EXPECT_TRUE(run.results[0].simulated);
   EXPECT_LT(run.results[0].sim.access_time, run.results[1].sim.access_time);
+}
+
+TEST(Orchestrator, PointsThatDifferOnlyInSeedShareOneStream) {
+  // Every point of a one-format grid gets its own load seed, yet the
+  // paper-default load model does not read it: all six points replay the
+  // same cached stream.
+  ExperimentSpec spec;
+  spec.levels = {video::H264Level::k31};
+  spec.channels = {1, 2};
+  spec.freq_mhz = {333.0, 400.0, 533.0};
+  std::set<std::uint64_t> seeds;
+  for (const auto& p : spec.expand()) seeds.insert(p.seed(spec.base_seed));
+  EXPECT_EQ(seeds.size(), 6u);
+
+  auto& cache = load::StreamCache::instance();
+  cache.clear();
+  OrchestratorOptions opt;
+  opt.threads = 2;
+  const auto run = Orchestrator(opt).run(spec);
+  ASSERT_EQ(run.results.size(), 6u);
+  for (const auto& r : run.results) EXPECT_TRUE(r.simulated);
+  EXPECT_EQ(cache.stats().stream_entries, 1u);
+  cache.clear();
 }
 
 }  // namespace

@@ -92,6 +92,30 @@ TEST(ExperimentSpec, RejectsUnknownAndMalformedKeys) {
   EXPECT_THROW(ExperimentSpec::from_config(
                    Config::from_string("base.queue_depth = 0")),
                ConfigError);
+  // A run needs at least one frame; a negative count must not reach the
+  // simulator as a huge allocation or a division by zero.
+  EXPECT_THROW(ExperimentSpec::from_config(Config::from_string("base.frames = 0")),
+               ConfigError);
+  EXPECT_THROW(
+      ExperimentSpec::from_config(Config::from_string("base.frames = -2")),
+      ConfigError);
+  EXPECT_THROW(
+      ExperimentSpec::from_config(Config::from_string("base.frames = 1.5")),
+      ConfigError);
+  // Negative counts must not wrap (refresh_postpone_max is unsigned) or be
+  // silently accepted (gop_length).
+  EXPECT_THROW(ExperimentSpec::from_config(
+                   Config::from_string("base.refresh_postpone_max = -1")),
+               ConfigError);
+  EXPECT_THROW(ExperimentSpec::from_config(
+                   Config::from_string("base.gop_length = -1")),
+               ConfigError);
+  // Zero stays legal where it means something.
+  const auto ok = ExperimentSpec::from_config(Config::from_string(
+      "base.frames = 3\nbase.gop_length = 0\nbase.refresh_postpone_max = 0"));
+  EXPECT_EQ(ok.base.sim.frames, 3);
+  EXPECT_EQ(ok.base.sim.gop_length, 0);
+  EXPECT_EQ(ok.base.base.controller.refresh_postpone_max, 0u);
 }
 
 TEST(ExperimentSpec, EmptyAxisRefusesToExpand) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <vector>
+
+#include "common/rng.hpp"
 
 namespace mcm::load {
 namespace {
@@ -120,6 +123,62 @@ TEST(MultiStream, PacingSpreadsArrivals) {
     src.advance();
   }
   EXPECT_GT(prev, Time::from_ms(0.5));  // last arrival near the end
+}
+
+/// Drains `src` through head()/advance(), packed like append_packed().
+std::vector<std::uint64_t> drain_one_by_one(TrafficSource& src) {
+  std::vector<std::uint64_t> out;
+  while (!src.done()) {
+    const ctrl::Request r = src.head();
+    src.advance();
+    out.push_back(pack_request(r.addr, r.is_write));
+  }
+  return out;
+}
+
+TEST(MultiStreamSource, AppendPackedMatchesHeadAdvance) {
+  Rng rng(20);
+  int small_windows = 0, ragged_volumes = 0, ragged_chunks = 0, empties = 0;
+  for (int c = 0; c < 400; ++c) {
+    const std::uint32_t burst = 16u << rng.next_below(3);        // 16..64
+    const auto chunk = static_cast<std::uint32_t>(1 + rng.next_below(300));
+    ragged_chunks += chunk % burst != 0;
+    std::vector<StreamSpec> specs(1 + rng.next_below(5));
+    for (auto& sp : specs) {
+      sp.base = rng.next_below(std::uint64_t{1} << 30) * 16;
+      sp.bytes = rng.next_below(6) == 0 ? 0 : 1 + rng.next_below(5000);
+      sp.window = rng.next_below(2) == 0 ? 0 : 1 + rng.next_below(sp.bytes + 1);
+      sp.is_write = rng.next_below(2) == 1;
+      sp.source_id = static_cast<std::uint16_t>(rng.next_below(8));
+      empties += sp.bytes == 0;
+      small_windows += sp.window != 0 && sp.window < sp.bytes;
+      ragged_volumes += sp.bytes % chunk != 0;
+    }
+    const MultiStreamSource proto("p", specs, chunk, burst);
+    const std::uint64_t n = proto.total_bytes() / burst;
+    // From the start, and after a random number of single advances (which
+    // usually leaves the source mid-chunk).
+    for (const std::uint64_t skip : {std::uint64_t{0}, n == 0 ? 0 : rng.next_below(n)}) {
+      MultiStreamSource live = proto;
+      MultiStreamSource bulk = proto;
+      for (std::uint64_t i = 0; i < skip; ++i) {
+        live.advance();
+        bulk.advance();
+      }
+      std::vector<std::uint64_t> got = {0xdead};  // appends after what is there
+      bulk.append_packed(got);
+      EXPECT_TRUE(bulk.done());
+      ASSERT_EQ(got.front(), 0xdeadu);
+      got.erase(got.begin());
+      ASSERT_EQ(got, drain_one_by_one(live)) << "case " << c << " skip " << skip;
+      EXPECT_EQ(got.size(), n - skip);
+    }
+  }
+  // The draws reach every shape the bulk loop special-cases.
+  EXPECT_GT(small_windows, 0);
+  EXPECT_GT(ragged_volumes, 0);
+  EXPECT_GT(ragged_chunks, 0);
+  EXPECT_GT(empties, 0);
 }
 
 }  // namespace

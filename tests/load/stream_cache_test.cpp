@@ -1,13 +1,20 @@
 // The workload stream cache must be a transparent memoization layer: the
 // cached enumeration replays exactly what the live load models emit, keys
-// distinguish every parameter that changes the stream, and the
-// MCM_STREAM_CACHE=off escape hatch bypasses retention without changing
-// content.
+// distinguish every parameter that changes the stream (and nothing else, so
+// points that differ only in seed share one stream), concurrent misses on
+// one key build once, and the MCM_STREAM_CACHE=off escape hatch bypasses
+// retention without changing content.
 #include "load/stream_cache.hpp"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <stdexcept>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "video/surfaces.hpp"
 #include "video/usecase.hpp"
@@ -31,9 +38,9 @@ struct Format {
       : model(p), layout(model, kAlign) {}
 };
 
-TEST(StreamCache, CachedMatchesLiveEnumeration) {
-  const Format f(params());
-  LoadOptions opt;
+/// Walks fresh live sources for `f` under `opt` and checks every request of
+/// the cached enumeration against head()/advance().
+void expect_matches_live(const Format& f, const LoadOptions& opt) {
   const auto cached = StreamCache::generate(f.model, f.layout, opt);
 
   auto sources = build_stage_sources(f.model, f.layout, opt);
@@ -50,8 +57,10 @@ TEST(StreamCache, CachedMatchesLiveEnumeration) {
       const ctrl::Request r = src.head();
       src.advance();
       ASSERT_LT(i, stage.reqs.size()) << stage.name;
-      EXPECT_EQ(CachedStage::addr_of(stage.reqs[i]), r.addr);
-      EXPECT_EQ(CachedStage::is_write_of(stage.reqs[i]), r.is_write);
+      ASSERT_EQ(CachedStage::addr_of(stage.reqs[i]), r.addr)
+          << stage.name << " position " << i;
+      ASSERT_EQ(CachedStage::is_write_of(stage.reqs[i]), r.is_write)
+          << stage.name << " position " << i;
       if (i == 0) {
         EXPECT_EQ(stage.source_id, r.source);
       }
@@ -62,6 +71,24 @@ TEST(StreamCache, CachedMatchesLiveEnumeration) {
   }
   EXPECT_EQ(cached->total_requests, total);
   EXPECT_EQ(cached->burst_bytes, opt.burst_bytes);
+}
+
+TEST(StreamCache, CachedMatchesLiveEnumeration) {
+  // 720p30 and 1080p30; the motion-window encoder stage goes through the
+  // default (per-request) append_packed, every other stage through
+  // MultiStreamSource's bulk one.
+  LoadOptions motion_window;
+  motion_window.motion_window_encoder = true;
+  motion_window.seed = 7;
+  for (const auto& [level, opt] :
+       {std::pair{video::H264Level::k31, LoadOptions{}},
+        std::pair{video::H264Level::k40, LoadOptions{}},
+        std::pair{video::H264Level::k31, motion_window}}) {
+    SCOPED_TRACE(testing::Message()
+                 << "level " << static_cast<int>(level) << " motion window "
+                 << opt.motion_window_encoder);
+    expect_matches_live(Format(params(level)), opt);
+  }
 }
 
 TEST(StreamCache, GetMemoizesPerKey) {
@@ -75,12 +102,32 @@ TEST(StreamCache, GetMemoizesPerKey) {
   EXPECT_EQ(a.get(), b.get()) << "same key must hit";
   EXPECT_EQ(cache.cached_bytes(), a->footprint_bytes());
 
-  // Any stream-shaping parameter forms a new key.
+  // The seed shapes nothing without the motion-window encoder: a point
+  // with another seed shares the stream.
   LoadOptions seeded = opt;
   seeded.seed = 42;
   const auto c = cache.get(f.model, f.layout, kAlign, seeded);
-  EXPECT_NE(a.get(), c.get());
+  EXPECT_EQ(a.get(), c.get()) << "seed alone must not form a new key";
+  EXPECT_EQ(cache.stats().stream_entries, 1u);
 
+  // With the motion-window encoder the seed is part of the key.
+  LoadOptions mw1 = opt;
+  mw1.motion_window_encoder = true;
+  LoadOptions mw42 = mw1;
+  mw42.seed = 42;
+  const auto m1 = cache.get(f.model, f.layout, kAlign, mw1);
+  const auto m42 = cache.get(f.model, f.layout, kAlign, mw42);
+  EXPECT_NE(a.get(), m1.get());
+  EXPECT_NE(m1.get(), m42.get());
+  bool words_differ = false;
+  ASSERT_EQ(m1->stages.size(), m42->stages.size());
+  for (std::size_t s = 0; s < m1->stages.size(); ++s) {
+    words_differ |= m1->stages[s].reqs != m42->stages[s].reqs;
+  }
+  EXPECT_TRUE(words_differ) << "motion-window streams at seeds 1 and 42";
+  EXPECT_EQ(cache.stats().stream_entries, 3u);
+
+  // Any other stream-shaping parameter forms a new key.
   const Format heavier(params(video::H264Level::k40));
   const auto d = cache.get(heavier.model, heavier.layout, kAlign, opt);
   EXPECT_NE(a.get(), d.get());
@@ -88,6 +135,104 @@ TEST(StreamCache, GetMemoizesPerKey) {
 
   cache.clear();
   EXPECT_EQ(cache.cached_bytes(), 0u);
+}
+
+TEST(StreamCache, SeedOnlyShapesMotionWindowStreams) {
+  const Format f(params());
+  LoadOptions s1;
+  s1.seed = 1;
+  LoadOptions s2;
+  s2.seed = 0x9e3779b97f4a7c15ull;
+  const auto a = StreamCache::generate(f.model, f.layout, s1);
+  const auto b = StreamCache::generate(f.model, f.layout, s2);
+  ASSERT_EQ(a->stages.size(), b->stages.size());
+  for (std::size_t s = 0; s < a->stages.size(); ++s) {
+    EXPECT_EQ(a->stages[s].name, b->stages[s].name);
+    EXPECT_EQ(a->stages[s].source_id, b->stages[s].source_id);
+    EXPECT_EQ(a->stages[s].reqs, b->stages[s].reqs) << a->stages[s].name;
+  }
+  EXPECT_EQ(a->total_requests, b->total_requests);
+}
+
+/// A small keyed workload: one stage of `n` sequential reads.
+std::shared_ptr<CachedWorkload> tiny_workload(std::uint64_t n) {
+  auto wl = std::make_shared<CachedWorkload>();
+  wl->burst_bytes = 16;
+  CachedStage stage;
+  stage.name = "tiny";
+  stage.source_id = 0;
+  for (std::uint64_t i = 0; i < n; ++i) stage.reqs.push_back(i * 16);
+  wl->total_requests = n;
+  wl->stages.push_back(std::move(stage));
+  return wl;
+}
+
+TEST(StreamCache, ConcurrentMissBuildsOnce) {
+  auto& cache = StreamCache::instance();
+  cache.clear();
+  constexpr int kThreads = 4;
+
+  // A slow builder: every thread misses while it runs, and all of them get
+  // its one result.
+  std::atomic<int> builds{0};
+  std::vector<std::shared_ptr<const CachedWorkload>> got(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        got[t] = cache.get_keyed("concurrent-ok", [&] {
+          builds.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(100));
+          return tiny_workload(64);
+        });
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(builds.load(), 1);
+  for (int t = 0; t < kThreads; ++t) {
+    ASSERT_NE(got[t], nullptr);
+    EXPECT_EQ(got[t].get(), got[0].get());
+  }
+  EXPECT_EQ(got[0]->key, "concurrent-ok");
+  EXPECT_EQ(cache.stats().stream_entries, 1u);
+
+  // A throwing builder: every caller sees the exception and nothing is
+  // retained, so a later call rebuilds.
+  std::atomic<int> failed_builds{0};
+  std::atomic<int> caught{0};
+  {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&] {
+        try {
+          (void)cache.get_keyed(
+              "concurrent-throw", [&]() -> std::shared_ptr<CachedWorkload> {
+                failed_builds.fetch_add(1);
+                std::this_thread::sleep_for(std::chrono::milliseconds(100));
+                throw std::runtime_error("build failed");
+              });
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "build failed");
+          caught.fetch_add(1);
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  EXPECT_EQ(caught.load(), kThreads);
+  EXPECT_GE(failed_builds.load(), 1);
+  EXPECT_EQ(cache.stats().stream_entries, 1u) << "a failed build is not kept";
+
+  int rebuilds = 0;
+  const auto rebuilt = cache.get_keyed("concurrent-throw", [&] {
+    ++rebuilds;
+    return tiny_workload(8);
+  });
+  EXPECT_EQ(rebuilds, 1);
+  EXPECT_EQ(rebuilt->total_requests, 8u);
+  EXPECT_EQ(cache.stats().stream_entries, 2u);
+  cache.clear();
 }
 
 TEST(StreamCache, ChunkMetaRoutesEveryPosition) {
