@@ -6,8 +6,8 @@
 //   $ ./memory_explorer my.cfg
 //
 // Config keys (all optional):
-//   channels=4  freq_mhz=400  interleave_bytes=16  mux=RBC|BRC|RCB
-//   page_policy=open|closed   scheduler=frfcfs|fcfs  queue_depth=16
+//   channels=4  freq_mhz=400  interleave_bytes=16  mux=RBC|BRC|RCB|RBC-XOR
+//   page_policy=open|closed|timeout  scheduler=frfcfs|fcfs  queue_depth=16
 //   powerdown_idle_cycles=1   level=3.1|3.2|4|4.2|5.2  frames=1
 //   chunk_bytes=64            motion_window_encoder=false
 #include <cstdio>
@@ -16,25 +16,7 @@
 
 #include "core/mcm.hpp"
 
-namespace {
-
 using namespace mcm;
-
-video::H264Level parse_level(const std::string& s) {
-  for (const auto level : video::kAllLevels) {
-    if (video::level_spec(level).name == s) return level;
-  }
-  throw ConfigError("unknown H.264 level: " + s);
-}
-
-ctrl::AddressMux parse_mux(const std::string& s) {
-  if (s == "RBC") return ctrl::AddressMux::kRBC;
-  if (s == "BRC") return ctrl::AddressMux::kBRC;
-  if (s == "RCB") return ctrl::AddressMux::kRCB;
-  throw ConfigError("unknown address mux: " + s);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   Config cfg;
@@ -47,30 +29,29 @@ int main(int argc, char** argv) {
 
   try {
     multichannel::SystemConfig memory;
-    memory.channels = static_cast<std::uint32_t>(cfg.get_int("channels", 4));
+    memory.channels = cfg.get_int<std::uint32_t>("channels", 4);
     memory.freq = Frequency{cfg.get_double("freq_mhz", 400.0)};
-    memory.interleave_bytes =
-        static_cast<std::uint32_t>(cfg.get_int("interleave_bytes", 16));
-    memory.mux = parse_mux(cfg.get_string("mux", "RBC"));
-    memory.controller.page_policy =
-        cfg.get_string("page_policy", "open") == "open" ? ctrl::PagePolicy::kOpen
-                                                        : ctrl::PagePolicy::kClosed;
-    memory.controller.scheduler = cfg.get_string("scheduler", "frfcfs") == "fcfs"
-                                      ? ctrl::SchedulerPolicy::kFcfs
-                                      : ctrl::SchedulerPolicy::kFrFcfs;
-    memory.controller.queue_depth =
-        static_cast<std::uint32_t>(cfg.get_int("queue_depth", 16));
+    memory.interleave_bytes = cfg.get_int<std::uint32_t>("interleave_bytes", 16);
+    memory.mux =
+        parse_name("mux", cfg.get_string("mux", "RBC"), &ctrl::parse_address_mux);
+    memory.controller.page_policy = parse_name(
+        "page_policy", cfg.get_string("page_policy", "open"), &ctrl::parse_page_policy);
+    memory.controller.scheduler = parse_name(
+        "scheduler", cfg.get_string("scheduler", "frfcfs"), &ctrl::parse_scheduler);
+    memory.controller.queue_depth = cfg.get_int<std::uint32_t>("queue_depth", 16);
     memory.controller.powerdown_idle_cycles =
-        static_cast<int>(cfg.get_int("powerdown_idle_cycles", 1));
+        cfg.get_int<int>("powerdown_idle_cycles", 1);
 
     video::UseCaseParams usecase;
-    usecase.level = parse_level(cfg.get_string("level", "4"));
+    usecase.level = parse_name("level", cfg.get_string("level", "4"), &video::parse_level);
 
     core::FrameSimOptions opt;
-    opt.frames = static_cast<int>(cfg.get_int("frames", 1));
-    opt.load.chunk_bytes =
-        static_cast<std::uint32_t>(cfg.get_int("chunk_bytes", 64));
+    opt.frames = cfg.get_int<int>("frames", 1);
+    opt.load.chunk_bytes = cfg.get_int<std::uint32_t>("chunk_bytes", 64);
     opt.load.motion_window_encoder = cfg.get_bool("motion_window_encoder", false);
+    for (const auto& e : {memory.validate(), opt.validate()}) {
+      if (e) throw ConfigError((argc > 1 ? argv[1] : std::string("defaults")) + ": " + e->message());
+    }
 
     const auto r = core::FrameSimulator(opt).run(memory, usecase);
     std::printf(

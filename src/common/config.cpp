@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 
 namespace mcm {
-namespace {
 
 std::string trim(std::string_view s) {
   const auto* first = std::find_if_not(s.begin(), s.end(), [](unsigned char c) {
@@ -18,7 +19,26 @@ std::string trim(std::string_view s) {
   return first < last ? std::string{first, last} : std::string{};
 }
 
-}  // namespace
+std::optional<std::int64_t> parse_int64(std::string_view token) {
+  const std::string text(token);
+  if (text.empty()) return std::nullopt;
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(text.c_str(), &end, 0);
+  if (errno == ERANGE || end != text.c_str() + text.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<double> parse_double(std::string_view token) {
+  const std::string text(token);
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno == ERANGE || end != text.c_str() + text.size()) {
+    return std::nullopt;
+  }
+  return v;
+}
 
 Config Config::from_string(std::string_view text) {
   Config cfg;
@@ -74,30 +94,11 @@ std::string Config::get_string(const std::string& key, std::string def) const {
   return get(key).value_or(std::move(def));
 }
 
-std::int64_t Config::get_int(const std::string& key, std::int64_t def) const {
-  const auto v = get(key);
-  if (!v) return def;
-  try {
-    std::size_t consumed = 0;
-    const std::int64_t result = std::stoll(*v, &consumed, 0);
-    if (consumed != v->size()) throw std::invalid_argument{*v};
-    return result;
-  } catch (const std::exception&) {
-    throw ConfigError("config key '" + key + "': '" + *v + "' is not an integer");
-  }
-}
-
 double Config::get_double(const std::string& key, double def) const {
   const auto v = get(key);
   if (!v) return def;
-  try {
-    std::size_t consumed = 0;
-    const double result = std::stod(*v, &consumed);
-    if (consumed != v->size()) throw std::invalid_argument{*v};
-    return result;
-  } catch (const std::exception&) {
-    throw ConfigError("config key '" + key + "': '" + *v + "' is not a number");
-  }
+  if (const auto parsed = parse_double(*v)) return *parsed;
+  throw ConfigError("config key '" + key + "': '" + *v + "' is not a number");
 }
 
 bool Config::get_bool(const std::string& key, bool def) const {

@@ -12,10 +12,13 @@
 //           that thrash a single bank under plain RBC)
 #pragma once
 
+#include <array>
 #include <cassert>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 
+#include "common/config.hpp"
 #include "dram/spec.hpp"
 
 namespace mcm::ctrl {
@@ -30,6 +33,14 @@ enum class AddressMux : std::uint8_t { kRBC, kBRC, kRCB, kRBCXor };
     case AddressMux::kRBCXor: return "RBC-XOR";
   }
   return "?";
+}
+
+inline constexpr std::array kAllAddressMuxes = {
+    AddressMux::kRBC, AddressMux::kBRC, AddressMux::kRCB, AddressMux::kRBCXor};
+
+[[nodiscard]] constexpr std::optional<AddressMux> parse_address_mux(
+    std::string_view name) {
+  return enum_by_name(name, kAllAddressMuxes);
 }
 
 struct DecodedAddress {

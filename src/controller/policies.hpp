@@ -1,8 +1,12 @@
 // Controller policy knobs evaluated in the paper and in our ablations.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
+
+#include "common/config.hpp"
 
 namespace mcm::ctrl {
 
@@ -21,12 +25,30 @@ enum class PagePolicy : std::uint8_t { kOpen, kClosed, kTimeout };
   return "?";
 }
 
+inline constexpr std::array kAllPagePolicies = {
+    PagePolicy::kOpen, PagePolicy::kClosed, PagePolicy::kTimeout};
+
+[[nodiscard]] constexpr std::optional<PagePolicy> parse_page_policy(
+    std::string_view name) {
+  return enum_by_name(name, kAllPagePolicies);
+}
+
 /// Request scheduling. FR-FCFS prefers row hits (and same-direction bursts,
 /// to limit bus turnarounds); FCFS serves strictly in arrival order.
 enum class SchedulerPolicy : std::uint8_t { kFcfs, kFrFcfs };
 
 [[nodiscard]] constexpr std::string_view to_string(SchedulerPolicy s) {
   return s == SchedulerPolicy::kFcfs ? "FCFS" : "FR-FCFS";
+}
+
+inline constexpr std::array kAllSchedulers = {SchedulerPolicy::kFcfs,
+                                              SchedulerPolicy::kFrFcfs};
+
+/// Also accepts "frfcfs".
+[[nodiscard]] constexpr std::optional<SchedulerPolicy> parse_scheduler(
+    std::string_view name) {
+  if (iequals(name, "frfcfs")) return SchedulerPolicy::kFrFcfs;
+  return enum_by_name(name, kAllSchedulers);
 }
 
 struct ControllerConfig {

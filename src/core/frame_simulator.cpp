@@ -5,7 +5,6 @@
 #include <memory>
 #include <mutex>
 #include <set>
-#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -75,18 +74,16 @@ FrameSimResult FrameSimulator::run(const multichannel::SystemConfig& system,
   return result;
 }
 
+std::optional<FieldError> FrameSimOptions::validate() const {
+  if (frames < 1) return FieldError{"frames", "must be >= 1"};
+  if (gop_length < 0) return FieldError{"gop_length", "must be >= 0"};
+  return std::nullopt;
+}
+
 FrameSimResult FrameSimulator::run_impl(
     const multichannel::SystemConfig& system,
     const video::UseCaseParams& usecase) const {
-  if (opt_.frames < 1) {
-    throw std::invalid_argument("FrameSimOptions::frames must be >= 1, got " +
-                                std::to_string(opt_.frames));
-  }
-  if (opt_.gop_length < 0) {
-    throw std::invalid_argument(
-        "FrameSimOptions::gop_length must be >= 0, got " +
-        std::to_string(opt_.gop_length));
-  }
+  (void)validated(opt_);
   const video::UseCaseModel model(usecase);
 
   multichannel::MemorySystem sys(system);

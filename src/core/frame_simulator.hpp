@@ -12,6 +12,7 @@
 // to single-channel (Fig. 5's main observation).
 #pragma once
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,8 +38,7 @@ enum class ExecutionMode : std::uint8_t {
 };
 
 struct FrameSimOptions {
-  // Frames to simulate (stats averaged per frame); run() throws
-  // std::invalid_argument below 1.
+  // Frames to simulate (stats averaged per frame); must be >= 1.
   int frames = 1;
   ExecutionMode mode = ExecutionMode::kStateMachine;
   load::LoadOptions load;
@@ -46,7 +46,7 @@ struct FrameSimOptions {
 
   /// GOP structure: every gop_length-th frame is an I frame (no reference
   /// traffic). 0 or 1 = every frame predicted (the paper's steady state);
-  /// run() throws std::invalid_argument on a negative value.
+  /// must not be negative.
   int gop_length = 0;
 
   /// Worker threads for channel-sharded execution of kStateMachine runs
@@ -83,6 +83,10 @@ struct FrameSimOptions {
   bool profile = false;
   std::string prof_path;
   std::string prof_trace_path;
+
+  /// The one home of the run's range rules: the first failing field, or
+  /// nullopt. Every front end calls it, and so does run().
+  [[nodiscard]] std::optional<FieldError> validate() const;
 };
 
 struct StageResult {

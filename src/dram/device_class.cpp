@@ -1,5 +1,7 @@
 #include "dram/device_class.hpp"
 
+#include "common/config.hpp"
+
 namespace mcm::dram {
 
 std::string_view to_string(DeviceClass cls) {
@@ -12,11 +14,9 @@ std::string_view to_string(DeviceClass cls) {
 }
 
 std::optional<DeviceClass> parse_device_class(std::string_view name) {
-  for (const auto cls : {DeviceClass::kMobileDdr, DeviceClass::kFastEdram,
-                         DeviceClass::kSlowPcm}) {
-    if (name == to_string(cls)) return cls;
-  }
-  return std::nullopt;
+  return enum_by_name(name, std::array{DeviceClass::kMobileDdr,
+                                       DeviceClass::kFastEdram,
+                                       DeviceClass::kSlowPcm});
 }
 
 DeviceSpec fast_edram_like() {

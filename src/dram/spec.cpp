@@ -3,6 +3,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/config.hpp"
+
 namespace mcm::dram {
 namespace {
 
@@ -10,6 +12,18 @@ int ns_to_cycles(double ns, Time clk) {
   const auto ps = static_cast<std::int64_t>(std::llround(ns * 1e3));
   return static_cast<int>((ps + clk.ps() - 1) / clk.ps());
 }
+
+struct PresetEntry {
+  std::string_view name;
+  DeviceSpec (*make)();
+};
+// Indexed by DevicePreset.
+constexpr PresetEntry kPresets[] = {
+    {"next_gen_mobile_ddr", &DeviceSpec::next_gen_mobile_ddr},
+    {"mobile_ddr_2008", &DeviceSpec::mobile_ddr_2008},
+    {"eight_bank_future", &DeviceSpec::eight_bank_future},
+    {"wide_io_like", &DeviceSpec::wide_io_like},
+};
 
 }  // namespace
 
@@ -39,6 +53,14 @@ DerivedTiming DerivedTiming::derive(const TimingSpec& t, Frequency f) {
   d.tfaw = t.tFAW_ns > 0.0 ? ns_to_cycles(t.tFAW_ns, d.clk) : 0;
   return d;
 }
+
+std::string_view to_string(DevicePreset p) { return kPresets[static_cast<int>(p)].name; }
+
+std::optional<DevicePreset> parse_device_preset(std::string_view name) {
+  return enum_by_name(name, kAllDevicePresets);
+}
+
+DeviceSpec device_spec(DevicePreset p) { return kPresets[static_cast<int>(p)].make(); }
 
 DeviceSpec DeviceSpec::mobile_ddr_2008() {
   DeviceSpec spec;

@@ -10,7 +10,10 @@
 // the clock (DDR: both edges).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "common/units.hpp"
 
@@ -122,6 +125,19 @@ struct DeviceSpec {
   /// (width instead of the paper's channel count x clock).
   [[nodiscard]] static DeviceSpec wide_io_like();
 };
+
+/// The named DeviceSpec factories: the `device` vocabulary of the JSON specs.
+enum class DevicePreset : std::uint8_t {
+  kNextGenMobileDdr, kMobileDdr2008, kEightBankFuture, kWideIoLike
+};
+
+inline constexpr std::array kAllDevicePresets = {
+    DevicePreset::kNextGenMobileDdr, DevicePreset::kMobileDdr2008,
+    DevicePreset::kEightBankFuture, DevicePreset::kWideIoLike};
+
+[[nodiscard]] std::string_view to_string(DevicePreset preset);
+[[nodiscard]] std::optional<DevicePreset> parse_device_preset(std::string_view name);
+[[nodiscard]] DeviceSpec device_spec(DevicePreset preset);
 
 /// Cycle-domain timing at a concrete clock frequency. Every parameter is a
 /// whole number of clock cycles (ceil of the ns value), commands issue on

@@ -1,10 +1,8 @@
 #include "explore/spec.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstring>
-#include <limits>
 #include <string>
 
 #include "video/h264_levels.hpp"
@@ -12,56 +10,18 @@
 namespace mcm::explore {
 namespace {
 
-[[nodiscard]] std::string trim(std::string_view s) {
-  std::size_t b = 0;
-  std::size_t e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b])) != 0) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1])) != 0) --e;
-  return std::string(s.substr(b, e - b));
+/// One comma-list axis: every item through its vocabulary's parser.
+template <typename T>
+[[nodiscard]] std::vector<T> parse_axis(const std::string& key,
+                                        const std::string& value,
+                                        std::optional<T> (*parse)(std::string_view)) {
+  std::vector<T> out;
+  for (const auto& t : split_list(value)) out.push_back(parse_name(key, t, parse));
+  return out;
 }
 
-[[nodiscard]] bool iequals(std::string_view a, std::string_view b) {
-  return a.size() == b.size() &&
-         std::equal(a.begin(), a.end(), b.begin(), [](char x, char y) {
-           return std::tolower(static_cast<unsigned char>(x)) ==
-                  std::tolower(static_cast<unsigned char>(y));
-         });
-}
-
-[[nodiscard]] double parse_double_token(const std::string& token,
-                                        const std::string& key) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(token, &pos);
-    if (pos != token.size()) throw std::invalid_argument(token);
-    return v;
-  } catch (const std::exception&) {
-    throw ConfigError("config key '" + key + "': bad number '" + token + "'");
-  }
-}
-
-[[nodiscard]] std::uint32_t parse_u32_token(const std::string& token,
-                                            const std::string& key) {
-  const double v = parse_double_token(token, key);
-  const auto u = static_cast<std::uint32_t>(v);
-  if (v <= 0 || static_cast<double>(u) != v) {
-    throw ConfigError("config key '" + key + "': expected positive integer, got '" +
-                      token + "'");
-  }
-  return u;
-}
-
-/// An integer key that must not be negative (a negative value would wrap
-/// or be silently accepted downstream), nor exceed `max`.
-[[nodiscard]] std::int64_t parse_count(const Config& cfg, const std::string& key,
-                                       std::int64_t max) {
-  const std::int64_t v = cfg.get_int(key, 0);
-  if (v < 0 || v > max) {
-    throw ConfigError("config key '" + key + "': expected an integer in [0, " +
-                      std::to_string(max) + "], got " + std::to_string(v));
-  }
-  return v;
-}
+/// Channel-class token characters, indexed by dram::DeviceClass.
+constexpr std::string_view kClassChars = "dfs";
 
 /// splitmix64 step, used to fold point coordinates into the seed chain.
 [[nodiscard]] std::uint64_t mix(std::uint64_t h, std::uint64_t v) {
@@ -85,18 +45,14 @@ multichannel::SystemConfig ExplorePoint::system(
   if (!classes.empty()) {
     std::string_view body = classes;
     if (const std::size_t at = body.find('@'); at != std::string_view::npos) {
-      sys.vault_group = static_cast<std::uint32_t>(
-          std::stoul(std::string(body.substr(at + 1))));
+      sys.vault_group = parse_int<std::uint32_t>(body.substr(at + 1)).value_or(0);
       body = body.substr(0, at);
     }
     sys.channel_classes.clear();
     sys.channel_classes.reserve(channels);
     for (std::uint32_t c = 0; c < channels; ++c) {
-      switch (body[c % body.size()]) {
-        case 'd': sys.channel_classes.push_back(dram::DeviceClass::kMobileDdr); break;
-        case 'f': sys.channel_classes.push_back(dram::DeviceClass::kFastEdram); break;
-        default: sys.channel_classes.push_back(dram::DeviceClass::kSlowPcm); break;
-      }
+      const std::size_t cls = std::min<std::size_t>(kClassChars.find(body[c % body.size()]), 2);
+      sys.channel_classes.push_back(static_cast<dram::DeviceClass>(cls));  // else slow
     }
   }
   return sys;
@@ -216,49 +172,13 @@ std::vector<std::string> split_list(std::string_view text) {
   return items;
 }
 
-video::H264Level parse_level(std::string_view token) {
-  for (const auto level : video::kAllLevels) {
-    if (token == video::level_spec(level).name) return level;
-  }
-  // Accept "4.0" for the level the spec table names "4".
-  if (token == "4.0") return video::H264Level::k40;
-  throw ConfigError("unknown H.264 level '" + std::string(token) +
-                    "' (expected one of 3.1, 3.2, 4, 4.2, 5.2)");
-}
-
-ctrl::PagePolicy parse_page_policy(std::string_view token) {
-  for (const auto p : {ctrl::PagePolicy::kOpen, ctrl::PagePolicy::kClosed,
-                       ctrl::PagePolicy::kTimeout}) {
-    if (iequals(token, to_string(p))) return p;
-  }
-  throw ConfigError("unknown page policy '" + std::string(token) +
-                    "' (expected open|closed|timeout)");
-}
-
-ctrl::SchedulerPolicy parse_scheduler(std::string_view token) {
-  for (const auto s : {ctrl::SchedulerPolicy::kFcfs, ctrl::SchedulerPolicy::kFrFcfs}) {
-    if (iequals(token, to_string(s))) return s;
-  }
-  if (iequals(token, "frfcfs")) return ctrl::SchedulerPolicy::kFrFcfs;
-  throw ConfigError("unknown scheduler '" + std::string(token) +
-                    "' (expected FCFS|FR-FCFS)");
-}
-
 std::string parse_classes_token(std::string_view token) {
   if (token.empty() || iequals(token, "none") || token == "-") return "";
   std::string_view body = token;
   if (const std::size_t at = token.find('@'); at != std::string_view::npos) {
     body = token.substr(0, at);
-    const std::string group(token.substr(at + 1));
-    std::uint32_t g = 0;
-    try {
-      std::size_t pos = 0;
-      g = static_cast<std::uint32_t>(std::stoul(group, &pos));
-      if (pos != group.size()) g = 0;
-    } catch (const std::exception&) {
-      g = 0;
-    }
-    if (g < 2) {
+    const auto g = parse_int<std::uint32_t>(token.substr(at + 1));
+    if (!g || *g < 2) {
       throw ConfigError("bad vault group in classes token '" +
                         std::string(token) + "' (want @G with G >= 2)");
     }
@@ -268,7 +188,7 @@ std::string parse_classes_token(std::string_view token) {
                       "' has no class characters");
   }
   for (const char c : body) {
-    if (c != 'd' && c != 'f' && c != 's') {
+    if (kClassChars.find(c) == std::string_view::npos) {
       throw ConfigError("bad class character '" + std::string(1, c) +
                         "' in classes token '" + std::string(token) +
                         "' (expected d=mobile_ddr, f=fast_edram, s=slow_pcm)");
@@ -277,88 +197,71 @@ std::string parse_classes_token(std::string_view token) {
   return std::string(token);
 }
 
-ctrl::AddressMux parse_address_mux(std::string_view token) {
-  for (const auto m : {ctrl::AddressMux::kRBC, ctrl::AddressMux::kBRC,
-                       ctrl::AddressMux::kRCB, ctrl::AddressMux::kRBCXor}) {
-    if (iequals(token, to_string(m))) return m;
-  }
-  throw ConfigError("unknown address mux '" + std::string(token) +
-                    "' (expected RBC|BRC|RCB|RBC-XOR)");
-}
-
 ExperimentSpec ExperimentSpec::from_config(const Config& cfg) {
   ExperimentSpec spec;
   for (const auto& [key, value] : cfg.entries()) {
     if (key == "grid.freq_mhz") {
-      spec.freq_mhz.clear();
-      for (const auto& t : split_list(value))
-        spec.freq_mhz.push_back(parse_double_token(t, key));
+      spec.freq_mhz = parse_axis(key, value, &parse_double);
     } else if (key == "grid.channels") {
-      spec.channels.clear();
-      for (const auto& t : split_list(value))
-        spec.channels.push_back(parse_u32_token(t, key));
+      spec.channels = parse_axis(key, value, &parse_int<std::uint32_t>);
     } else if (key == "grid.levels") {
-      spec.levels.clear();
-      if (iequals(trim(value), "all")) {
-        spec.levels.assign(video::kAllLevels.begin(), video::kAllLevels.end());
-      } else {
-        for (const auto& t : split_list(value))
-          spec.levels.push_back(parse_level(t));
-      }
+      spec.levels = iequals(trim(value), "all")
+                        ? std::vector(video::kAllLevels.begin(), video::kAllLevels.end())
+                        : parse_axis(key, value, &video::parse_level);
     } else if (key == "grid.page_policy") {
-      spec.page_policies.clear();
-      for (const auto& t : split_list(value))
-        spec.page_policies.push_back(parse_page_policy(t));
+      spec.page_policies = parse_axis(key, value, &ctrl::parse_page_policy);
     } else if (key == "grid.scheduler") {
-      spec.schedulers.clear();
-      for (const auto& t : split_list(value))
-        spec.schedulers.push_back(parse_scheduler(t));
+      spec.schedulers = parse_axis(key, value, &ctrl::parse_scheduler);
     } else if (key == "grid.interleave_bytes") {
-      spec.interleave_bytes.clear();
-      for (const auto& t : split_list(value))
-        spec.interleave_bytes.push_back(parse_u32_token(t, key));
+      spec.interleave_bytes = parse_axis(key, value, &parse_int<std::uint32_t>);
     } else if (key == "grid.address_mux") {
-      spec.address_muxes.clear();
-      for (const auto& t : split_list(value))
-        spec.address_muxes.push_back(parse_address_mux(t));
+      spec.address_muxes = parse_axis(key, value, &ctrl::parse_address_mux);
     } else if (key == "grid.channel_classes") {
       spec.classes.clear();
       for (const auto& t : split_list(value))
         spec.classes.push_back(parse_classes_token(t));
     } else if (key == "base.seed") {
-      spec.base_seed = static_cast<std::uint64_t>(cfg.get_int(key, 1));
+      spec.base_seed = cfg.get_int<std::uint64_t>(key, 1);
     } else if (key == "base.frames") {
-      spec.base.sim.frames =
-          static_cast<int>(parse_u32_token(trim(value), key));
+      spec.base.sim.frames = cfg.get_int<int>(key, 1);
     } else if (key == "base.gop_length") {
-      spec.base.sim.gop_length = static_cast<int>(
-          parse_count(cfg, key, std::numeric_limits<int>::max()));
+      spec.base.sim.gop_length = cfg.get_int<int>(key, 0);
     } else if (key == "base.processing_margin") {
       spec.base.sim.processing_margin = cfg.get_double(key, 0.15);
     } else if (key == "base.queue_depth") {
-      spec.base.base.controller.queue_depth =
-          parse_u32_token(trim(value), key);
+      spec.base.base.controller.queue_depth = cfg.get_int<std::uint32_t>(key, 16);
     } else if (key == "base.powerdown_idle_cycles") {
-      spec.base.base.controller.powerdown_idle_cycles =
-          static_cast<int>(cfg.get_int(key, 1));
+      spec.base.base.controller.powerdown_idle_cycles = cfg.get_int<int>(key, 1);
     } else if (key == "base.selfrefresh_idle_cycles") {
-      spec.base.base.controller.selfrefresh_idle_cycles =
-          static_cast<int>(cfg.get_int(key, -1));
+      spec.base.base.controller.selfrefresh_idle_cycles = cfg.get_int<int>(key, -1);
     } else if (key == "base.refresh_postpone_max") {
       spec.base.base.controller.refresh_postpone_max =
-          static_cast<std::uint32_t>(
-              parse_count(cfg, key, std::numeric_limits<std::uint32_t>::max()));
+          cfg.get_int<std::uint32_t>(key, 0);
     } else if (key.rfind("grid.", 0) == 0 || key.rfind("base.", 0) == 0) {
       throw ConfigError("unknown experiment spec key '" + key + "'");
     }
     // Other prefixes (screen.*, threads, report.*) belong to the
     // orchestrator/CLI layers and are ignored here.
   }
+  if (const auto error = spec.base.sim.validate()) {
+    throw ConfigError("experiment spec: base." + error->message());
+  }
+  for (const auto& p : spec.expand()) {
+    if (const auto error = p.system(spec.base).validate()) {
+      throw ConfigError("experiment spec point " + p.label() + ": " +
+                        error->message());
+    }
+  }
   return spec;
 }
 
 ExperimentSpec ExperimentSpec::from_file(const std::string& path) {
-  return from_config(Config::from_file(path));
+  const Config cfg = Config::from_file(path);
+  try {
+    return from_config(cfg);
+  } catch (const ConfigError& e) {
+    throw ConfigError(path + ": " + e.what());
+  }
 }
 
 }  // namespace mcm::explore

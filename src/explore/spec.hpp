@@ -92,20 +92,15 @@ struct ExperimentSpec {
   [[nodiscard]] static ExperimentSpec paper_grid();
 
   /// Parse from the key-value Config format (unknown "grid."/"base."/
-  /// "screen." keys throw ConfigError; see docs/exploration.md).
+  /// "screen." keys throw ConfigError; see docs/exploration.md). Every
+  /// expanded point's system and the base run options pass validate(), or
+  /// ConfigError names the failing field.
   [[nodiscard]] static ExperimentSpec from_config(const Config& cfg);
   [[nodiscard]] static ExperimentSpec from_file(const std::string& path);
 };
 
 /// Comma-separated list split, trimmed; empty items rejected (ConfigError).
 [[nodiscard]] std::vector<std::string> split_list(std::string_view text);
-
-/// Axis-token parsers, shared with the CLI (each throws ConfigError on an
-/// unknown token; names match the to_string forms, case-insensitive).
-[[nodiscard]] video::H264Level parse_level(std::string_view token);
-[[nodiscard]] ctrl::PagePolicy parse_page_policy(std::string_view token);
-[[nodiscard]] ctrl::SchedulerPolicy parse_scheduler(std::string_view token);
-[[nodiscard]] ctrl::AddressMux parse_address_mux(std::string_view token);
 
 /// Validate a channel-class token ("dfs", "f", "ds@2", ...; "none"/"-" maps
 /// to the empty homogeneous token). Throws ConfigError on a bad token;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 
 #include "common/log.hpp"
@@ -111,13 +110,6 @@ StreamCache& StreamCache::instance() {
   return cache;
 }
 
-bool StreamCache::enabled() {
-  const char* env = std::getenv("MCM_STREAM_CACHE");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "off" || v == "OFF" || v == "0");
-}
-
 std::shared_ptr<const CachedWorkload> StreamCache::generate(
     const video::UseCaseModel& model, const video::SurfaceLayout& layout,
     const LoadOptions& opt) {
@@ -154,7 +146,6 @@ std::shared_ptr<const CachedWorkload> StreamCache::get(
 std::shared_ptr<const CachedWorkload> StreamCache::get_keyed(
     const std::string& key,
     const std::function<std::shared_ptr<CachedWorkload>()>& build) {
-  if (!enabled()) return build();
   static const obs::prof::PhaseId kHit = obs::prof::phase_id("stream_cache/hit");
   static const obs::prof::PhaseId kMiss =
       obs::prof::phase_id("stream_cache/miss");
@@ -207,7 +198,7 @@ std::shared_ptr<const CachedWorkload> StreamCache::get_keyed(
 std::shared_ptr<const ChunkMeta> StreamCache::chunk_meta(
     const CachedWorkload& wl, std::size_t stage_index, std::uint32_t channels,
     std::uint32_t granularity) {
-  if (wl.key.empty() || !enabled()) {
+  if (wl.key.empty()) {
     return ChunkMeta::build(wl.stages[stage_index], channels, granularity);
   }
   static const obs::prof::PhaseId kHit =

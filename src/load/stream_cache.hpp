@@ -13,8 +13,7 @@
 //
 // A cached request packs (global byte address | is_write) into one word;
 // stage name / source id / ordering are preserved so the frame simulator
-// can reproduce its bookkeeping exactly. Disable with MCM_STREAM_CACHE=off
-// (every run then enumerates the load models directly, same results).
+// can reproduce its bookkeeping exactly.
 #pragma once
 
 #include <cstdint>
@@ -55,7 +54,7 @@ struct CachedWorkload {
   std::uint32_t burst_bytes = 0;
   std::uint64_t total_requests = 0;
   // Cache key this workload was memoized under; empty when the workload was
-  // generated uncached (MCM_STREAM_CACHE=off or direct generate() calls).
+  // generated uncached (direct generate() calls).
   // Chunk metadata derives its own key from this one, so it is invalidated
   // exactly when the stream is.
   std::string key;
@@ -108,7 +107,6 @@ class StreamCache {
 
   /// Cached enumeration of one frame's stage streams. `alignment` must be
   /// the value the SurfaceLayout was built with (it is part of the key).
-  /// Honors MCM_STREAM_CACHE=off by generating without memoizing.
   std::shared_ptr<const CachedWorkload> get(const video::UseCaseModel& model,
                                             const video::SurfaceLayout& layout,
                                             std::uint64_t alignment,
@@ -124,9 +122,8 @@ class StreamCache {
   /// Callers must make `key` a pure function of everything `build` depends
   /// on. Concurrent misses on one key run `build` once; the others wait for
   /// it and share its result, or its exception (the key is then forgotten,
-  /// so a later call rebuilds). Honors MCM_STREAM_CACHE=off and the byte
-  /// cap. The builder returns a mutable workload so the cache can stamp the
-  /// key on it.
+  /// so a later call rebuilds). Honors the byte cap. The builder returns a
+  /// mutable workload so the cache can stamp the key on it.
   std::shared_ptr<const CachedWorkload> get_keyed(
       const std::string& key,
       const std::function<std::shared_ptr<CachedWorkload>()>& build);
@@ -139,9 +136,9 @@ class StreamCache {
                                               std::uint32_t channels,
                                               std::uint32_t granularity);
 
-  /// False when MCM_STREAM_CACHE is "off" or "0" (checked per call so tests
-  /// can toggle it).
-  [[nodiscard]] static bool enabled();
+  /// Always true: the cache has no off switch. Kept only because the
+  /// benchmark harness stamps it into its provenance record.
+  [[nodiscard]] static constexpr bool enabled() { return true; }
 
   /// Drop every cached workload (tests).
   void clear();

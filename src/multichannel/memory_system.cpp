@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <stdexcept>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -25,23 +24,31 @@ channel::InterconnectSpec SystemConfig::channel_interconnect(
   return ic;
 }
 
+std::optional<FieldError> SystemConfig::validate() const {
+  const auto fail = [](const char* field, const char* reason) {
+    return std::optional{FieldError{field, reason}};
+  };
+  if (channels == 0) return fail("channels", "must be >= 1");
+  if (controller.queue_depth == 0) return fail("controller.queue_depth", "must be >= 1");
+  if (heterogeneous() && channel_classes.size() != channels) {
+    return fail("channel_classes", "must have one entry per channel");
+  }
+  if (interleave_bytes < device.org.bytes_per_burst()) {
+    return fail("interleave_bytes", "must be >= the DRAM burst size");
+  }
+  for (std::uint32_t ch = 0; ch < (heterogeneous() ? channels : 1); ++ch) {
+    const dram::TimingSpec t = channel_device(ch).timing;
+    if (freq.mhz() < t.freq_min_mhz - 1e-9 || freq.mhz() > t.freq_max_mhz + 1e-9) {
+      return fail("freq", "is outside the device's clock range");
+    }
+  }
+  return std::nullopt;
+}
+
 MemorySystem::MemorySystem(const SystemConfig& cfg)
-    : cfg_(cfg),
+    : cfg_(validated(cfg)),
       interleaver_(cfg.channels, cfg.interleave_bytes),
       route_counts_(cfg.channels, 0) {
-  if (cfg.channels == 0) throw std::invalid_argument("channels must be > 0");
-  if (cfg.controller.queue_depth == 0) {
-    throw std::invalid_argument("controller queue_depth must be > 0");
-  }
-  if (cfg.interleave_bytes < cfg.device.org.bytes_per_burst()) {
-    throw std::invalid_argument(
-        "interleave granularity below the minimum DRAM burst size");
-  }
-  if (!cfg.channel_classes.empty() &&
-      cfg.channel_classes.size() != cfg.channels) {
-    throw std::invalid_argument(
-        "channel_classes must be empty or have one entry per channel");
-  }
   channels_.reserve(cfg.channels);
   for (std::uint32_t i = 0; i < cfg.channels; ++i) {
     channels_.emplace_back(cfg.channel_device(i), cfg.freq, cfg.mux,

@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "common/stats.hpp"
 #include "channel/channel.hpp"
 #include "common/units.hpp"
@@ -45,6 +46,10 @@ struct SystemConfig {
   std::uint32_t vault_group = 0;
 
   [[nodiscard]] bool heterogeneous() const { return !channel_classes.empty(); }
+
+  /// The one home of the system's range rules: the first failing field, or
+  /// nullopt. Every front end calls it, and so does MemorySystem.
+  [[nodiscard]] std::optional<FieldError> validate() const;
 
   /// Class bound by channel `ch` (kMobileDdr when no classes configured).
   [[nodiscard]] dram::DeviceClass channel_class(std::uint32_t ch) const {

@@ -4,6 +4,8 @@
 // is preserved (reports diff cleanly) and output is deterministic.
 #pragma once
 
+#include <cmath>
+#include <concepts>
 #include <cstdint>
 #include <optional>
 #include <ostream>
@@ -79,6 +81,39 @@ class JsonValue {
   [[nodiscard]] std::uint64_t as_uint(std::uint64_t fallback = 0) const;
   [[nodiscard]] double as_double(double fallback = 0.0) const;
   [[nodiscard]] std::string as_string(std::string fallback = {}) const;
+
+  /// Checked narrowing read for integer fields: the number as T (a double
+  /// truncates, as in as_int), or nullopt where a cast would wrap.
+  template <std::integral T>
+  [[nodiscard]] std::optional<T> as_integer() const {
+    const auto narrow = [](auto v) {
+      return std::in_range<T>(v) ? std::optional<T>(static_cast<T>(v)) : std::nullopt;
+    };
+    switch (type()) {
+      case Type::kInt: return narrow(std::get<std::int64_t>(v_));
+      case Type::kUint: return narrow(std::get<std::uint64_t>(v_));
+      case Type::kDouble: {
+        const double d = std::trunc(std::get<double>(v_));
+        if (!(d >= -0x1p63 && d < 0x1p64)) return std::nullopt;  // or NaN
+        return d < 0 ? narrow(static_cast<std::int64_t>(d))
+                     : narrow(static_cast<std::uint64_t>(d));
+      }
+      default: return std::nullopt;
+    }
+  }
+
+  /// Member `key` through as_integer into `out` (absent keeps `out`); one
+  /// that does not fit is named in `bad`, unless `bad` names an earlier one.
+  template <std::integral T>
+  void read_integer(std::string_view key, T& out, std::string& bad) const {
+    const JsonValue* v = find(key);
+    if (v == nullptr) return;
+    if (const auto checked = v->as_integer<T>()) {
+      out = *checked;
+    } else if (bad.empty()) {
+      bad = key;
+    }
+  }
 
   /// Serialize. indent <= 0 emits the compact single-line form.
   void dump(std::ostream& out, int indent = 2) const;

@@ -10,39 +10,6 @@
 
 namespace mcm::verify {
 
-namespace {
-
-dram::DeviceSpec device_by_name(const std::string& name) {
-  if (name == "next_gen_mobile_ddr") return dram::DeviceSpec::next_gen_mobile_ddr();
-  if (name == "mobile_ddr_2008") return dram::DeviceSpec::mobile_ddr_2008();
-  if (name == "eight_bank_future") return dram::DeviceSpec::eight_bank_future();
-  if (name == "wide_io_like") return dram::DeviceSpec::wide_io_like();
-  throw std::invalid_argument("unknown device spec: " + name);
-}
-
-ctrl::AddressMux mux_by_name(const std::string& name) {
-  if (name == "RBC") return ctrl::AddressMux::kRBC;
-  if (name == "BRC") return ctrl::AddressMux::kBRC;
-  if (name == "RCB") return ctrl::AddressMux::kRCB;
-  if (name == "RBC-XOR") return ctrl::AddressMux::kRBCXor;
-  throw std::invalid_argument("unknown address mux: " + name);
-}
-
-ctrl::PagePolicy page_policy_by_name(const std::string& name) {
-  if (name == "open") return ctrl::PagePolicy::kOpen;
-  if (name == "closed") return ctrl::PagePolicy::kClosed;
-  if (name == "timeout") return ctrl::PagePolicy::kTimeout;
-  throw std::invalid_argument("unknown page policy: " + name);
-}
-
-ctrl::SchedulerPolicy scheduler_by_name(const std::string& name) {
-  if (name == "FCFS") return ctrl::SchedulerPolicy::kFcfs;
-  if (name == "FR-FCFS") return ctrl::SchedulerPolicy::kFrFcfs;
-  throw std::invalid_argument("unknown scheduler: " + name);
-}
-
-}  // namespace
-
 std::string_view to_string(InjectedBug b) {
   switch (b) {
     case InjectedBug::kNone: return "none";
@@ -54,23 +21,21 @@ std::string_view to_string(InjectedBug b) {
 }
 
 std::optional<InjectedBug> parse_injected_bug(std::string_view name) {
-  for (const auto b : {InjectedBug::kNone, InjectedBug::kIgnoreTwtr,
-                       InjectedBug::kIgnoreTras, InjectedBug::kFreePowerdownExit}) {
-    if (name == to_string(b)) return b;
-  }
-  return std::nullopt;
+  return enum_by_name(name, std::array{InjectedBug::kNone, InjectedBug::kIgnoreTwtr,
+                                       InjectedBug::kIgnoreTras,
+                                       InjectedBug::kFreePowerdownExit});
 }
 
 multichannel::SystemConfig Scenario::system_config() const {
   multichannel::SystemConfig cfg;
-  cfg.device = device_by_name(device);
+  cfg.device = dram::device_spec(parse_name("device spec", device, &dram::parse_device_preset));
   cfg.freq = Frequency(static_cast<double>(freq_mhz));
   cfg.channels = channels;
   cfg.interleave_bytes = interleave_bytes;
-  cfg.mux = mux_by_name(mux);
-  cfg.controller.page_policy = page_policy_by_name(page_policy);
+  cfg.mux = parse_name("address mux", mux, &ctrl::parse_address_mux);
+  cfg.controller.page_policy = parse_name("page policy", page_policy, &ctrl::parse_page_policy);
   cfg.controller.page_timeout_cycles = page_timeout_cycles;
-  cfg.controller.scheduler = scheduler_by_name(scheduler);
+  cfg.controller.scheduler = parse_name("scheduler", scheduler, &ctrl::parse_scheduler);
   cfg.controller.queue_depth = queue_depth;
   cfg.controller.powerdown_idle_cycles = powerdown_idle_cycles;
   cfg.controller.selfrefresh_idle_cycles = selfrefresh_idle_cycles;
@@ -81,11 +46,7 @@ multichannel::SystemConfig Scenario::system_config() const {
   cfg.interconnect.request_interval_cycles = request_interval_cycles;
   cfg.channel_classes.reserve(channel_classes.size());
   for (const std::string& name : channel_classes) {
-    const auto cls = dram::parse_device_class(name);
-    if (!cls.has_value()) {
-      throw std::invalid_argument("unknown device class: " + name);
-    }
-    cfg.channel_classes.push_back(*cls);
+    cfg.channel_classes.push_back(parse_name("device class", name, &dram::parse_device_class));
   }
   cfg.vault_group = vault_group;
   return cfg;
@@ -243,7 +204,7 @@ Scenario random_scenario(std::uint64_t seed, bool workload_generators,
       break;
     }
   }
-  const dram::DeviceSpec spec = device_by_name(s.device);
+  const dram::DeviceSpec spec = dram::device_spec(*dram::parse_device_preset(s.device));
   const std::uint32_t burst = spec.org.bytes_per_burst();
 
   static constexpr std::uint32_t kChannels[] = {1, 2, 4, 8};
@@ -430,27 +391,28 @@ std::optional<Scenario> scenario_from_json(const obs::JsonValue& doc,
     return fail("missing or unsupported schema (want mcm.repro/v1)");
   }
   Scenario s;
-  if (const auto* v = doc.find("seed")) s.seed = v->as_uint();
+  std::string bad;  // first integer field that does not fit (never a wrapped cast)
+  doc.read_integer("seed", s.seed, bad);
   if (const auto* v = doc.find("device")) s.device = v->as_string(s.device);
-  if (const auto* v = doc.find("channels")) s.channels = static_cast<std::uint32_t>(v->as_uint(s.channels));
-  if (const auto* v = doc.find("freq_mhz")) s.freq_mhz = static_cast<std::uint32_t>(v->as_uint(s.freq_mhz));
-  if (const auto* v = doc.find("interleave_bytes")) s.interleave_bytes = static_cast<std::uint32_t>(v->as_uint(s.interleave_bytes));
+  doc.read_integer("channels", s.channels, bad);
+  doc.read_integer("freq_mhz", s.freq_mhz, bad);
+  doc.read_integer("interleave_bytes", s.interleave_bytes, bad);
   if (const auto* v = doc.find("mux")) s.mux = v->as_string(s.mux);
   if (const auto* c = doc.find("controller")) {
     if (const auto* v = c->find("page_policy")) s.page_policy = v->as_string(s.page_policy);
-    if (const auto* v = c->find("page_timeout_cycles")) s.page_timeout_cycles = static_cast<std::uint32_t>(v->as_uint(s.page_timeout_cycles));
+    c->read_integer("page_timeout_cycles", s.page_timeout_cycles, bad);
     if (const auto* v = c->find("scheduler")) s.scheduler = v->as_string(s.scheduler);
-    if (const auto* v = c->find("queue_depth")) s.queue_depth = static_cast<std::uint32_t>(v->as_uint(s.queue_depth));
-    if (const auto* v = c->find("powerdown_idle_cycles")) s.powerdown_idle_cycles = static_cast<int>(v->as_int(s.powerdown_idle_cycles));
-    if (const auto* v = c->find("selfrefresh_idle_cycles")) s.selfrefresh_idle_cycles = static_cast<int>(v->as_int(s.selfrefresh_idle_cycles));
-    if (const auto* v = c->find("refresh_postpone_max")) s.refresh_postpone_max = static_cast<std::uint32_t>(v->as_uint(s.refresh_postpone_max));
-    if (const auto* v = c->find("max_skips")) s.max_skips = static_cast<std::uint32_t>(v->as_uint(s.max_skips));
+    c->read_integer("queue_depth", s.queue_depth, bad);
+    c->read_integer("powerdown_idle_cycles", s.powerdown_idle_cycles, bad);
+    c->read_integer("selfrefresh_idle_cycles", s.selfrefresh_idle_cycles, bad);
+    c->read_integer("refresh_postpone_max", s.refresh_postpone_max, bad);
+    c->read_integer("max_skips", s.max_skips, bad);
     if (const auto* v = c->find("stream_row_hits")) s.stream_row_hits = v->as_bool(s.stream_row_hits);
   }
-  if (const auto* v = doc.find("request_interval_cycles")) s.request_interval_cycles = static_cast<int>(v->as_int(s.request_interval_cycles));
-  if (const auto* v = doc.find("interconnect_latency_ps")) s.interconnect_latency_ps = v->as_int(s.interconnect_latency_ps);
-  if (const auto* v = doc.find("period_ps")) s.period_ps = v->as_int(s.period_ps);
-  if (const auto* v = doc.find("sim_threads")) s.sim_threads = static_cast<unsigned>(v->as_uint(s.sim_threads));
+  doc.read_integer("request_interval_cycles", s.request_interval_cycles, bad);
+  doc.read_integer("interconnect_latency_ps", s.interconnect_latency_ps, bad);
+  doc.read_integer("period_ps", s.period_ps, bad);
+  doc.read_integer("sim_threads", s.sim_threads, bad);
   if (const auto* v = doc.find("legacy_feed")) s.legacy_feed = v->as_bool(s.legacy_feed);
   if (const auto* v = doc.find("inject")) {
     const auto bug = parse_injected_bug(v->as_string("none"));
@@ -460,14 +422,11 @@ std::optional<Scenario> scenario_from_json(const obs::JsonValue& doc,
   if (const auto* classes = doc.find("channel_classes")) {
     if (!classes->is_array()) return fail("channel_classes must be an array");
     for (std::size_t i = 0; i < classes->size(); ++i) {
-      const std::string name = classes->at(i)->as_string();
-      if (!dram::parse_device_class(name).has_value()) {
-        return fail("unknown device class: " + name);
-      }
-      s.channel_classes.push_back(name);
+      s.channel_classes.push_back(classes->at(i)->as_string());
     }
   }
-  if (const auto* v = doc.find("vault_group")) s.vault_group = static_cast<std::uint32_t>(v->as_uint(s.vault_group));
+  doc.read_integer("vault_group", s.vault_group, bad);
+  if (!bad.empty()) return fail(bad + " is not an integer in range");
   const obs::JsonValue* frames = doc.find("frames");
   if (frames == nullptr || !frames->is_array()) return fail("missing frames array");
   for (std::size_t i = 0; i < frames->size(); ++i) {
@@ -480,19 +439,27 @@ std::optional<Scenario> scenario_from_json(const obs::JsonValue& doc,
       if (js == nullptr) return fail("bad stage entry");
       ScenarioStage stage;
       if (const auto* v = js->find("name")) stage.name = v->as_string();
-      if (const auto* v = js->find("source")) stage.source = static_cast<std::uint16_t>(v->as_uint());
+      js->read_integer("source", stage.source, bad);
       if (const auto* reqs = js->find("reqs")) {
         if (!reqs->is_array()) return fail("stage reqs must be an array");
         stage.reqs.reserve(reqs->size());
         for (std::size_t k = 0; k < reqs->size(); ++k) {
-          stage.reqs.push_back(reqs->at(k)->as_uint());
+          const auto r = reqs->at(k)->as_integer<std::uint64_t>();
+          if (!r) return fail("stage reqs must be unsigned integers");
+          stage.reqs.push_back(*r);
         }
       }
+      if (!bad.empty()) return fail("stage " + bad + " is not an integer in range");
       frame.stages.push_back(std::move(stage));
     }
     s.frames.push_back(std::move(frame));
   }
   if (s.frames.empty()) return fail("scenario has no frames");
+  try {
+    if (const auto e = s.system_config().validate()) return fail(e->message());
+  } catch (const std::invalid_argument& e) {
+    return fail(e.what());
+  }
   return s;
 }
 

@@ -23,6 +23,14 @@ const LevelSpec& level_spec(H264Level level) {
   throw std::invalid_argument("unknown H.264 level");
 }
 
+std::optional<H264Level> parse_level(std::string_view name) {
+  for (const auto& s : kSpecs) {
+    if (name == s.name) return s.level;
+  }
+  if (name == "4.0") return H264Level::k40;
+  return std::nullopt;
+}
+
 std::uint32_t frame_macroblocks(Resolution r) {
   const std::uint32_t mb_w = (r.width + 15) / 16;
   const std::uint32_t mb_h = (r.height + 15) / 16;

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -32,6 +33,9 @@ struct LevelSpec {
 };
 
 [[nodiscard]] const LevelSpec& level_spec(H264Level level);
+
+/// A level by its Table I name (level_spec(level).name), or "4.0" for "4".
+[[nodiscard]] std::optional<H264Level> parse_level(std::string_view name);
 
 /// Macroblocks per frame (16x16).
 [[nodiscard]] std::uint32_t frame_macroblocks(Resolution r);

@@ -4,30 +4,17 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "core/frame_simulator.hpp"
+
 namespace mcm::workload {
 
 namespace {
-
-dram::DeviceSpec device_by_name(const std::string& name) {
-  if (name == "next_gen_mobile_ddr") return dram::DeviceSpec::next_gen_mobile_ddr();
-  if (name == "mobile_ddr_2008") return dram::DeviceSpec::mobile_ddr_2008();
-  if (name == "eight_bank_future") return dram::DeviceSpec::eight_bank_future();
-  if (name == "wide_io_like") return dram::DeviceSpec::wide_io_like();
-  throw std::invalid_argument("unknown device spec: " + name);
-}
 
 bool fail(std::string* error, const std::string& message) {
   if (error != nullptr) *error = message;
   return false;
 }
 
-/// Read an optional member into `out`; absent members keep the default.
-void get_uint(const obs::JsonValue& obj, std::string_view key, std::uint64_t& out) {
-  if (const auto* v = obj.find(key)) out = v->as_uint(out);
-}
-void get_int64(const obs::JsonValue& obj, std::string_view key, std::int64_t& out) {
-  if (const auto* v = obj.find(key)) out = v->as_int(out);
-}
 void get_string(const obs::JsonValue& obj, std::string_view key, std::string& out) {
   if (const auto* v = obj.find(key)) out = v->as_string(out);
 }
@@ -39,14 +26,20 @@ bool parse_tenant(const obs::JsonValue& doc, TenantSpec& t, std::size_t index,
   get_string(doc, "name", t.name);
   get_string(doc, "kind", t.kind);
   if (t.name.empty()) t.name = t.kind + std::to_string(index);
-  get_uint(doc, "partition_bytes", t.partition_bytes);
-  get_int64(doc, "pace_ps", t.pace_ps);
+  std::string bad;  // first integer field that does not fit
+  doc.read_integer("partition_bytes", t.partition_bytes, bad);
+  doc.read_integer("pace_ps", t.pace_ps, bad);
+  doc.read_integer("max_requests", t.max_requests, bad);
+  doc.read_integer("window_bytes", t.window_bytes, bad);
+  doc.read_integer("bytes", t.bytes, bad);
+  doc.read_integer("stride_bytes", t.stride_bytes, bad);
+  doc.read_integer("seed", t.seed, bad);
+  if (!bad.empty()) return fail(error, where + ": " + bad + " is not an integer in range");
   if (t.pace_ps < 0) return fail(error, where + ": pace_ps must be >= 0");
 
   if (t.kind == "video") {
     get_string(doc, "level", t.level);
-    get_uint(doc, "max_requests", t.max_requests);
-    if (!parse_level(t.level)) {
+    if (!video::parse_level(t.level)) {
       return fail(error, where + ": unknown H.264 level '" + t.level + "'");
     }
   } else if (t.kind == "trace") {
@@ -55,13 +48,9 @@ bool parse_tenant(const obs::JsonValue& doc, TenantSpec& t, std::size_t index,
     if (t.path.empty()) return fail(error, where + ": trace tenant needs a path");
   } else if (t.kind == "generator") {
     get_string(doc, "generator", t.generator);
-    get_uint(doc, "window_bytes", t.window_bytes);
-    get_uint(doc, "bytes", t.bytes);
-    get_uint(doc, "stride_bytes", t.stride_bytes);
     if (const auto* v = doc.find("write_fraction")) {
       t.write_fraction = v->as_double(t.write_fraction);
     }
-    get_uint(doc, "seed", t.seed);
     if (t.generator != "sequential" && t.generator != "strided" &&
         t.generator != "pointer_chase" && t.generator != "uniform_random") {
       return fail(error, where + ": unknown generator '" + t.generator + "'");
@@ -83,17 +72,13 @@ bool parse_tenant(const obs::JsonValue& doc, TenantSpec& t, std::size_t index,
 
 multichannel::SystemConfig WorkloadSpec::system_config() const {
   multichannel::SystemConfig cfg;
-  cfg.device = device_by_name(device);
+  cfg.device = dram::device_spec(parse_name("device spec", device, &dram::parse_device_preset));
   cfg.freq = Frequency(static_cast<double>(freq_mhz));
   cfg.channels = channels;
   cfg.interleave_bytes = interleave_bytes;
   cfg.channel_classes.reserve(channel_classes.size());
   for (const std::string& name : channel_classes) {
-    const auto cls = dram::parse_device_class(name);
-    if (!cls.has_value()) {
-      throw std::invalid_argument("unknown device class: " + name);
-    }
-    cfg.channel_classes.push_back(*cls);
+    cfg.channel_classes.push_back(parse_name("device class", name, &dram::parse_device_class));
   }
   cfg.vault_group = vault_group;
   return cfg;
@@ -122,13 +107,6 @@ std::string WorkloadSpec::cache_key() const {
     }
   }
   return key.str();
-}
-
-std::optional<video::H264Level> parse_level(std::string_view name) {
-  for (const video::H264Level level : video::kAllLevels) {
-    if (video::level_spec(level).name == name) return level;
-  }
-  return std::nullopt;
 }
 
 obs::JsonValue workload_to_json(const WorkloadSpec& s) {
@@ -190,52 +168,38 @@ std::optional<WorkloadSpec> workload_from_json(const obs::JsonValue& doc,
   }
 
   WorkloadSpec s;
+  std::string bad;  // first integer field that does not fit
   get_string(doc, "name", s.name);
   if (const auto* sys = doc.find("system")) {
     if (!sys->is_object()) return bail("system is not an object");
     get_string(*sys, "device", s.device);
-    if (const auto* v = sys->find("channels")) {
-      s.channels = static_cast<std::uint32_t>(v->as_uint(s.channels));
-    }
-    if (const auto* v = sys->find("freq_mhz")) {
-      s.freq_mhz = static_cast<std::uint32_t>(v->as_uint(s.freq_mhz));
-    }
-    if (const auto* v = sys->find("interleave_bytes")) {
-      s.interleave_bytes = static_cast<std::uint32_t>(v->as_uint(s.interleave_bytes));
-    }
+    sys->read_integer("channels", s.channels, bad);
+    sys->read_integer("freq_mhz", s.freq_mhz, bad);
+    sys->read_integer("interleave_bytes", s.interleave_bytes, bad);
+    sys->read_integer("vault_group", s.vault_group, bad);
+    if (!bad.empty()) return bail("system." + bad + " is not an integer in range");
     if (const auto* classes = sys->find("channel_classes")) {
       if (!classes->is_array()) return bail("channel_classes must be an array");
       for (std::size_t i = 0; i < classes->size(); ++i) {
-        const std::string name = classes->at(i)->as_string();
-        if (!dram::parse_device_class(name).has_value()) {
-          return bail("unknown device class: " + name);
-        }
-        s.channel_classes.push_back(name);
+        s.channel_classes.push_back(classes->at(i)->as_string());
       }
     }
-    if (const auto* v = sys->find("vault_group")) {
-      s.vault_group = static_cast<std::uint32_t>(v->as_uint(s.vault_group));
-    }
   }
-  if (const auto* v = doc.find("frames")) s.frames = static_cast<int>(v->as_int(1));
-  get_int64(doc, "period_ps", s.period_ps);
-  if (const auto* v = doc.find("sim_threads")) {
-    s.sim_threads = static_cast<unsigned>(v->as_uint(0));
-  }
+  doc.read_integer("frames", s.frames, bad);
+  doc.read_integer("period_ps", s.period_ps, bad);
+  doc.read_integer("sim_threads", s.sim_threads, bad);
+  if (!bad.empty()) return bail(bad + " is not an integer in range");
   if (const auto* v = doc.find("legacy_feed")) s.legacy_feed = v->as_bool();
 
-  if (s.channels == 0) return bail("channels must be positive");
-  if (!s.channel_classes.empty() && s.channel_classes.size() != s.channels) {
-    return bail("channel_classes must have one entry per channel");
-  }
-  if (s.freq_mhz == 0) return bail("freq_mhz must be positive");
-  if (s.frames < 1) return bail("frames must be >= 1");
-  if (s.period_ps <= 0) return bail("period_ps must be positive");
   try {
-    (void)device_by_name(s.device);
+    if (const auto e = s.system_config().validate()) return bail("system." + e->message());
   } catch (const std::invalid_argument& e) {
-    return bail(e.what());
+    return bail(std::string("system: ") + e.what());
   }
+  core::FrameSimOptions run;
+  run.frames = s.frames;
+  if (const auto e = run.validate()) return bail(e->message());
+  if (s.period_ps <= 0) return bail("period_ps must be positive");
 
   const auto* tenants = doc.find("tenants");
   if (tenants == nullptr || !tenants->is_array() || tenants->size() == 0) {
@@ -273,7 +237,10 @@ std::optional<WorkloadSpec> load_workload(const std::string& path,
     return std::nullopt;
   }
   auto spec = workload_from_json(*doc, error);
-  if (!spec) return std::nullopt;
+  if (!spec) {
+    if (error != nullptr) *error = path + ": " + *error;
+    return std::nullopt;
+  }
 
   // Resolve tenant trace paths against the spec file's directory so a
   // committed scenario works from any working directory.

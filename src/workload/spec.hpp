@@ -88,9 +88,6 @@ struct WorkloadSpec {
   [[nodiscard]] std::string cache_key() const;
 };
 
-/// Parse an H.264 level by its Table I column name ("3.1" .. "5.2").
-[[nodiscard]] std::optional<video::H264Level> parse_level(std::string_view name);
-
 /// `mcm.workload/v1` (de)serialization.
 [[nodiscard]] obs::JsonValue workload_to_json(const WorkloadSpec& s);
 [[nodiscard]] std::optional<WorkloadSpec> workload_from_json(

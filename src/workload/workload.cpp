@@ -158,7 +158,7 @@ TenantInput make_input(const TenantPlan& p, std::uint32_t burst,
   const TenantSpec& t = *p.spec;
   TenantInput in;
   if (t.kind == "video") {
-    const auto level = parse_level(t.level);
+    const auto level = video::parse_level(t.level);
     if (!level) {
       throw std::invalid_argument("tenant '" + t.name + "': unknown level '" +
                                   t.level + "'");

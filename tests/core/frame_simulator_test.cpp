@@ -22,6 +22,18 @@ video::UseCaseParams usecase_for(video::H264Level level) {
   return p;
 }
 
+TEST(FrameSimOptions, ValidateNamesTheFailingField) {
+  EXPECT_FALSE(FrameSimOptions{}.validate().has_value());
+  FrameSimOptions zero;
+  zero.frames = 0;
+  ASSERT_TRUE(zero.validate().has_value());
+  EXPECT_EQ(zero.validate()->field, "frames");
+  FrameSimOptions gop;
+  gop.gop_length = -1;
+  ASSERT_TRUE(gop.validate().has_value());
+  EXPECT_EQ(gop.validate()->field, "gop_length");
+}
+
 TEST(FrameSimulator, Serves720pFrameWithinPeriodOnTwoChannels) {
   const FrameSimulator sim;
   const auto r = sim.run(system_for(2), usecase_for(video::H264Level::k31));

@@ -118,6 +118,63 @@ TEST(ExperimentSpec, RejectsUnknownAndMalformedKeys) {
   EXPECT_EQ(ok.base.base.controller.refresh_postpone_max, 0u);
 }
 
+// Every bad value raises ConfigError naming the field: values that used to
+// wrap, crash at run time, or silently run something else.
+TEST(ExperimentSpec, BadConfigsNameTheField) {
+  const struct {
+    const char* line;
+    const char* field;
+  } cases[] = {
+      {"base.queue_depth = 0", "queue_depth"},
+      {"base.queue_depth = 4294967312", "queue_depth"},
+      {"base.queue_depth = -1", "queue_depth"},
+      {"grid.channels = 0", "channels"},
+      {"grid.channels = -1", "channels"},
+      {"grid.channels = 4x", "channels"},
+      {"grid.channels = 4294967297", "channels"},
+      {"base.frames = 0", "frames"},
+      {"base.gop_length = -1", "gop_length"},
+      {"grid.freq_mhz = 600", "freq"},
+      {"grid.freq_mhz = 0", "freq"},
+      {"grid.interleave_bytes = 8", "interleave_bytes"},
+      {"grid.interleave_bytes = -16", "interleave_bytes"},
+      {"grid.scheduler = bogus", "scheduler"},
+      {"grid.page_policy = half-open", "page_policy"},
+      {"grid.address_mux = RBX", "address_mux"},
+      {"grid.levels = 6.2", "levels"},
+  };
+  for (const auto& c : cases) {
+    try {
+      (void)ExperimentSpec::from_config(Config::from_string(c.line));
+      ADD_FAILURE() << c.line << ": accepted";
+    } catch (const ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.field), std::string::npos)
+          << c.line << ": " << e.what();
+    }
+  }
+}
+
+TEST(ExperimentSpec, AcceptsEveryVocabularySpelling) {
+  const auto spec = ExperimentSpec::from_config(Config::from_string(R"(
+    grid.levels = 3.1, 4.0, 4
+    grid.scheduler = fcfs, FCFS, frfcfs, fr-fcfs, FR-FCFS
+    grid.page_policy = open, CLOSED, Timeout
+    grid.address_mux = rbc, BRC, RCB, rbc-xor
+  )"));
+  EXPECT_EQ(spec.levels, (std::vector{video::H264Level::k31, video::H264Level::k40,
+                                      video::H264Level::k40}));
+  EXPECT_EQ(spec.schedulers,
+            (std::vector{ctrl::SchedulerPolicy::kFcfs, ctrl::SchedulerPolicy::kFcfs,
+                         ctrl::SchedulerPolicy::kFrFcfs, ctrl::SchedulerPolicy::kFrFcfs,
+                         ctrl::SchedulerPolicy::kFrFcfs}));
+  EXPECT_EQ(spec.page_policies,
+            (std::vector{ctrl::PagePolicy::kOpen, ctrl::PagePolicy::kClosed,
+                         ctrl::PagePolicy::kTimeout}));
+  EXPECT_EQ(spec.address_muxes,
+            (std::vector{ctrl::AddressMux::kRBC, ctrl::AddressMux::kBRC,
+                         ctrl::AddressMux::kRCB, ctrl::AddressMux::kRBCXor}));
+}
+
 TEST(ExperimentSpec, EmptyAxisRefusesToExpand) {
   ExperimentSpec spec;
   spec.channels.clear();

@@ -2,15 +2,13 @@
 // cached enumeration replays exactly what the live load models emit, keys
 // distinguish every parameter that changes the stream (and nothing else, so
 // points that differ only in seed share one stream), concurrent misses on
-// one key build once, and the MCM_STREAM_CACHE=off escape hatch bypasses
-// retention without changing content.
+// one key build once.
 #include "load/stream_cache.hpp"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -314,30 +312,6 @@ TEST(StreamCache, ChunkMetaMemoizedAndCounted) {
   const StreamCacheStats cleared = cache.stats();
   EXPECT_EQ(cleared.stream_bytes + cleared.meta_bytes, 0u);
   EXPECT_EQ(cleared.stream_entries + cleared.meta_entries, 0u);
-}
-
-TEST(StreamCache, EnvOffBypassesRetention) {
-  auto& cache = StreamCache::instance();
-  cache.clear();
-  const Format f(params());
-  LoadOptions opt;
-
-  setenv("MCM_STREAM_CACHE", "off", 1);
-  EXPECT_FALSE(StreamCache::enabled());
-  const auto a = cache.get(f.model, f.layout, kAlign, opt);
-  const auto b = cache.get(f.model, f.layout, kAlign, opt);
-  EXPECT_NE(a.get(), b.get()) << "off = no retention";
-  EXPECT_EQ(cache.cached_bytes(), 0u);
-  unsetenv("MCM_STREAM_CACHE");
-  EXPECT_TRUE(StreamCache::enabled());
-
-  // Same content either way.
-  const auto c = cache.get(f.model, f.layout, kAlign, opt);
-  ASSERT_EQ(a->stages.size(), c->stages.size());
-  for (std::size_t s = 0; s < a->stages.size(); ++s) {
-    EXPECT_EQ(a->stages[s].reqs, c->stages[s].reqs);
-  }
-  cache.clear();
 }
 
 }  // namespace

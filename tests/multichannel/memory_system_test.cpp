@@ -127,6 +127,41 @@ TEST(MemorySystem, RejectsInvalidConfig) {
   EXPECT_THROW(MemorySystem{no_queue}, std::invalid_argument);
 }
 
+TEST(SystemConfig, ValidateNamesTheFailingField) {
+  EXPECT_FALSE(make_config(4).validate().has_value());
+  struct Case {
+    const char* field;
+    void (*mutate)(SystemConfig&);
+  };
+  const Case cases[] = {
+      {"channels", [](SystemConfig& c) { c.channels = 0; }},
+      {"controller.queue_depth", [](SystemConfig& c) { c.controller.queue_depth = 0; }},
+      {"channel_classes",
+       [](SystemConfig& c) { c.channel_classes = {dram::DeviceClass::kFastEdram}; }},
+      {"interleave_bytes", [](SystemConfig& c) { c.interleave_bytes = 8; }},
+      {"freq", [](SystemConfig& c) { c.freq = Frequency{600.0}; }},
+      {"freq", [](SystemConfig& c) { c.freq = Frequency{150.0}; }},
+      // The fast class runs down to 100 MHz, the base device only to 200.
+      {"freq",
+       [](SystemConfig& c) {
+         c.freq = Frequency{150.0};
+         c.channel_classes.assign(c.channels, dram::DeviceClass::kFastEdram);
+         c.channel_classes[0] = dram::DeviceClass::kMobileDdr;
+       }},
+  };
+  for (const Case& c : cases) {
+    SystemConfig cfg = make_config(4);
+    c.mutate(cfg);
+    const auto error = cfg.validate();
+    ASSERT_TRUE(error.has_value()) << c.field;
+    EXPECT_EQ(error->field, c.field);
+    EXPECT_THROW(MemorySystem{cfg}, std::invalid_argument) << c.field;
+  }
+  SystemConfig fast = make_config(4, 150.0);
+  fast.channel_classes.assign(4, dram::DeviceClass::kFastEdram);
+  EXPECT_FALSE(fast.validate().has_value()) << "every channel's class fits 150 MHz";
+}
+
 TEST(MemorySystem, AddressesBeyondCapacityWrapConsistently) {
   // A tiny device (1 MiB cluster) makes the wrap cheap to exercise: traffic
   // far beyond capacity still lands, balances, and counts correctly.

@@ -97,6 +97,64 @@ TEST(WorkloadSpec, RejectsBadSystem) {
   EXPECT_FALSE(workload_from_json(workload_to_json(s)).has_value());
 }
 
+// Every bad system value is an error naming the field: values that used to
+// wrap through a narrowing cast or fail only at run time.
+TEST(WorkloadSpec, BadConfigsNameTheField) {
+  const struct {
+    const char* key;
+    obs::JsonValue value;
+    const char* field;
+  } cases[] = {
+      {"channels", obs::JsonValue{std::uint64_t{4294967297}}, "system.channels"},
+      {"channels", obs::JsonValue{-1}, "system.channels"},
+      {"channels", obs::JsonValue{0}, "system.channels"},
+      {"channels", obs::JsonValue{"4"}, "system.channels"},
+      {"freq_mhz", obs::JsonValue{std::uint64_t{4294967696}}, "system.freq_mhz"},
+      {"freq_mhz", obs::JsonValue{600}, "system.freq"},
+      {"freq_mhz", obs::JsonValue{0}, "system.freq"},
+      {"interleave_bytes", obs::JsonValue{std::uint64_t{4294967312}},
+       "system.interleave_bytes"},
+      {"interleave_bytes", obs::JsonValue{8}, "system.interleave_bytes"},
+      {"device", obs::JsonValue{"hbm9"}, "unknown device spec"},
+  };
+  for (const auto& c : cases) {
+    obs::JsonValue doc = workload_to_json(three_tenant_spec());
+    doc["system"][c.key] = c.value;
+    std::string error;
+    EXPECT_FALSE(workload_from_json(doc, &error).has_value()) << c.key;
+    EXPECT_NE(error.find(c.field), std::string::npos) << c.key << ": " << error;
+  }
+
+  WorkloadSpec s = three_tenant_spec();
+  s.channel_classes = {"fast_edram"};  // two channels, one class
+  std::string error;
+  EXPECT_FALSE(workload_from_json(workload_to_json(s), &error).has_value());
+  EXPECT_NE(error.find("system.channel_classes"), std::string::npos) << error;
+
+  for (const std::int64_t frames : {std::int64_t{0}, std::int64_t{-1}, std::int64_t{4294967297}}) {
+    obs::JsonValue doc = workload_to_json(three_tenant_spec());
+    doc["frames"] = frames;
+    EXPECT_FALSE(workload_from_json(doc, &error).has_value()) << frames;
+    EXPECT_NE(error.find("frames"), std::string::npos) << frames << ": " << error;
+  }
+  obs::JsonValue doc = workload_to_json(three_tenant_spec());
+  doc["tenants"] = obs::JsonValue::array();
+  obs::JsonValue tenant = obs::JsonValue::object();
+  tenant["kind"] = "generator";
+  tenant["bytes"] = -4096;
+  doc["tenants"].push(tenant);
+  EXPECT_FALSE(workload_from_json(doc, &error).has_value());
+  EXPECT_NE(error.find("tenant 0: bytes"), std::string::npos) << error;
+}
+
+TEST(WorkloadSpec, CommittedSpecsLoad) {
+  for (const char* name : {"mixed_tenants.workload.json", "sample_source.workload.json"}) {
+    std::string error;
+    EXPECT_TRUE(load_workload(std::string(MCM_WORKLOAD_DIR) + "/" + name, &error))
+        << name << ": " << error;
+  }
+}
+
 TEST(WorkloadSpec, CacheKeyTracksStreamAffectingFields) {
   const WorkloadSpec a = three_tenant_spec();
   WorkloadSpec b = a;
@@ -112,9 +170,9 @@ TEST(WorkloadSpec, CacheKeyTracksStreamAffectingFields) {
 }
 
 TEST(WorkloadSpec, ParseLevelKnowsTheTableIColumns) {
-  EXPECT_TRUE(parse_level("3.1").has_value());
-  EXPECT_TRUE(parse_level("5.2").has_value());
-  EXPECT_FALSE(parse_level("6.2").has_value());
+  EXPECT_TRUE(video::parse_level("3.1").has_value());
+  EXPECT_TRUE(video::parse_level("5.2").has_value());
+  EXPECT_FALSE(video::parse_level("6.2").has_value());
 }
 
 TEST(WorkloadSpec, LoadResolvesTracePathsRelativeToSpecDir) {

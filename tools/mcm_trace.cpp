@@ -31,6 +31,7 @@
 #include <string>
 #include <vector>
 
+#include "common/config.hpp"
 #include "multichannel/interleaver.hpp"
 #include "obs/run_report.hpp"
 #include "workload/spec.hpp"
@@ -62,6 +63,14 @@ TraceFormat parse_format_arg(const char* value) {
     std::exit(2);
   }
   return *f;
+}
+
+/// A positive 32-bit flag value, or exit 2 naming the flag.
+std::uint32_t positive_flag(const char* name, const char* value) {
+  const auto v = mcm::parse_int<std::uint32_t>(value);
+  if (v && *v > 0) return *v;
+  std::fprintf(stderr, "mcm_trace: %s must be a positive integer, got '%s'\n", name, value);
+  std::exit(2);
 }
 
 /// Output format by explicit flag, else by file extension.
@@ -238,17 +247,9 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--to")) {
       to = parse_format_arg(v);
     } else if (const char* v = value("--channels")) {
-      channels = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-      if (channels == 0) {
-        std::fprintf(stderr, "mcm_trace: --channels must be positive\n");
-        return 2;
-      }
+      channels = positive_flag("--channels", v);
     } else if (const char* v = value("--interleave")) {
-      interleave = static_cast<std::uint32_t>(std::strtoul(v, nullptr, 0));
-      if (interleave == 0) {
-        std::fprintf(stderr, "mcm_trace: --interleave must be positive\n");
-        return 2;
-      }
+      interleave = positive_flag("--interleave", v);
     } else if (const char* v = value("--report")) {
       report_path = v;
     } else if (argv[i][0] == '-' && argv[i][1] != '\0') {
