@@ -1,6 +1,7 @@
 #include "core/sharded_engine.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <optional>
+#include <span>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -35,6 +37,10 @@ constexpr unsigned kEpochChunks = 8;
 // finished serially (adaptive kill switch; a pure function of deterministic
 // state, so it cannot break determinism).
 constexpr unsigned kMaxRollbacksPerSegment = 8;
+
+// Requests the sequential feed decodes from a stage's runs at a time: the
+// feed loop then reads a plain array, and the block stays in L1.
+constexpr std::size_t kFeedBlock = 1024;
 
 constexpr std::uint64_t kNoDivergence =
     std::numeric_limits<std::uint64_t>::max();
@@ -196,24 +202,23 @@ ctrl::Request stage_request(std::uint64_t packed, std::uint64_t local,
   return r;
 }
 
-/// The exact protocol over positions [a, b) of `stage`, single-threaded.
-/// This is the sequential feed itself and the epoch protocol's serial
-/// replay. For position p routed to channel c: serve c's pending threshold;
-/// if c's queue is full, publish (h_c, c) to every other channel and pop c
-/// once; enqueue. Returns the max of `done` and every completion popped.
+/// The exact protocol over `words`, consecutive packed requests of one
+/// stage in stream order, single-threaded: a block decoded from the stage's
+/// runs (the sequential feed) or a slice of the epoch protocol's flat view
+/// of the stage (its serial replay). For a request routed to channel c:
+/// serve c's pending threshold; if c's queue is full, publish (h_c, c) to
+/// every other channel and pop c once; enqueue. Returns the max of `done`
+/// and every completion popped.
 Time feed_range(multichannel::MemorySystem& sys, std::vector<ChanState>& chans,
-                const load::CachedStage& stage, std::uint64_t a,
-                std::uint64_t b, Time arrival, Time done,
-                std::uint64_t& retired) {
+                std::span<const std::uint64_t> words, std::uint16_t source,
+                Time arrival, Time done, std::uint64_t& retired) {
   const multichannel::Interleaver& il = sys.interleaver();
   const std::uint32_t channels = sys.channel_count();
-  const std::uint64_t* reqs = stage.reqs.data();
   const auto pop = [&](channel::Channel& ch) {
     done = max(done, ch.process_one().done);
     ++retired;
   };
-  for (std::uint64_t p = a; p < b; ++p) {
-    const std::uint64_t packed = reqs[p];
+  for (const std::uint64_t packed : words) {
     const auto routed = il.route(load::CachedStage::addr_of(packed));
     const std::uint32_t c = routed.channel;
     channel::Channel& ch = sys.channel(c);
@@ -234,7 +239,7 @@ Time feed_range(multichannel::MemorySystem& sys, std::vector<ChanState>& chans,
       }
       pop(ch);
     }
-    ch.enqueue(stage_request(packed, routed.local, arrival, stage.source_id));
+    ch.enqueue(stage_request(packed, routed.local, arrival, source));
     ++st.routed;
   }
   return done;
@@ -278,6 +283,9 @@ struct Shared {
   bool force_rollback = false;
   std::vector<std::shared_ptr<const load::ChunkMeta>> metas;  // per segment
   std::size_t seg_index = 0;  // segment the chunk serial steps operate on
+  // The current segment's requests decoded from their runs once, so the
+  // protocol can address them by position.
+  std::vector<std::uint64_t> flat;
 
   // Chunk window: written by serial steps, read by workers after the next
   // generation acquire.
@@ -331,6 +339,16 @@ void spin_pause(unsigned& spins, bool oversubscribed) {
 
 void stage_next_chunk(Shared& sh, std::uint64_t begin, std::uint64_t n);
 
+/// Make segment `i` current: decode its flat view and stage its first chunk.
+void begin_segment(Shared& sh, std::size_t i) {
+  const load::PackedRuns& reqs = sh.segments[i].stage->reqs;
+  sh.seg_index = i;
+  sh.flat.resize(reqs.size());
+  auto from = reqs.begin();
+  reqs.decode(from, sh.flat);
+  stage_next_chunk(sh, 0, sh.flat.size());
+}
+
 /// The serial step the last barrier arriver runs after the current segment:
 /// merge per-worker completion maxima, advance the frame clock, and stage
 /// the next segment.
@@ -351,12 +369,11 @@ void serial_step(Shared& sh) {
     // Fresh chunk state for the next segment: the stage drain left every
     // queue empty, so the occupancy-based window proof starts clean.
     // Snapshots never outlive a segment (arrival changes).
-    sh.seg_index = i + 1;
     sh.has_snapshot = false;
     sh.spec_chunks_since_snapshot = 0;
     sh.segment_rollbacks = 0;
     sh.spec_killed = false;
-    stage_next_chunk(sh, 0, sh.segments[i + 1].stage->reqs.size());
+    begin_segment(sh, i + 1);
   } else {
     sh.clock.out.end_time = sh.clock.t;
   }
@@ -470,7 +487,7 @@ void spec_channel(Shared& sh, const Segment& s, const load::ChunkMeta& meta,
   channel::Channel& ch = sh.sys.channel(c);
   ChanState& st = sh.chans[c];
   const std::vector<std::uint32_t>& pos = meta.pos_of[c];
-  const std::uint64_t* reqs = s.stage->reqs.data();
+  const std::uint64_t* reqs = sh.flat.data();
   const std::uint16_t sid = s.stage->source_id;
   const Time arr = sh.arrival;
   std::uint32_t i = st.meta_idx;
@@ -547,9 +564,10 @@ void validate_channel(Shared& sh, const load::ChunkMeta& meta, std::uint32_t c,
 /// Requires channel state that is protocol-exact at position a.
 void replay_serial_range(Shared& sh, std::uint64_t a, std::uint64_t b) {
   std::uint64_t retired = 0;
-  sh.slot_last_done[0] =
-      feed_range(sh.sys, sh.chans, *sh.segments[sh.seg_index].stage, a, b,
-                 sh.arrival, sh.slot_last_done[0], retired);
+  sh.slot_last_done[0] = feed_range(
+      sh.sys, sh.chans, std::span(sh.flat).subspan(a, b - a),
+      sh.segments[sh.seg_index].stage->source_id, sh.arrival,
+      sh.slot_last_done[0], retired);
 }
 
 /// Serial rollback: restore the epoch snapshot, replay [epoch_begin, b)
@@ -814,7 +832,7 @@ ShardedRunOutput run_sharded_frames(
   sh.spool_marks.assign(channels, 0);
   sh.chan_saves.assign(channels, ChanState{});
   sh.done_snap.assign(sh.workers, Time::zero());
-  stage_next_chunk(sh, 0, sh.segments.front().stage->reqs.size());
+  begin_segment(sh, 0);
 
   {
     exec::ThreadPool pool(sh.workers - 1);
@@ -847,6 +865,7 @@ ShardedRunOutput run_sequential_frames(
   const WorkerProf wp = make_worker_prof(0);
   const std::uint32_t channels = sys.channel_count();
   std::vector<ChanState> chans(channels);
+  std::array<std::uint64_t, kFeedBlock> block;  // decode() fills it
   FrameClock clock;
   clock.period = period;
   for (const Segment& s : make_segments(frame_workloads)) {
@@ -854,8 +873,13 @@ ShardedRunOutput run_sequential_frames(
     const Time arrival = clock.stage_start;
     const std::int64_t t_feed0 = wp.on ? obs::prof::now_ns() : 0;
     std::uint64_t retired = 0;
-    Time done = feed_range(sys, chans, *s.stage, 0, s.stage->reqs.size(),
-                           arrival, arrival, retired);
+    Time done = arrival;
+    const load::PackedRuns& reqs = s.stage->reqs;
+    auto from = reqs.begin();
+    while (const std::size_t n = reqs.decode(from, block)) {
+      done = feed_range(sys, chans, std::span(block.data(), n),
+                        s.stage->source_id, arrival, done, retired);
+    }
     const std::int64_t t_drain0 = wp.on ? obs::prof::now_ns() : 0;
     for (std::uint32_t c = 0; c < channels; ++c) {
       drain_channel(sys.channel(c), chans[c], done, retired);

@@ -1,5 +1,6 @@
 #include "load/multi_stream_source.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 
@@ -78,25 +79,24 @@ void MultiStreamSource::advance() {
   if (chunk_left_ == 0 || st.cursor >= st.spec.bytes) select_stream();
 }
 
-void MultiStreamSource::append_packed(std::vector<std::uint64_t>& out) {
+void MultiStreamSource::append_packed(PackedRuns& out) {
   // Volumes, windows and chunk_left_ are whole bursts, so every advance()
   // steps exactly one burst and a chunk never runs past its stream's end:
   // each iteration below is one chunk of advance() calls followed by the
-  // same select_stream() they end with.
+  // same select_stream() they end with. Inside a chunk the address only
+  // steps by a burst or wraps to the window base, so the chunk is one run
+  // per window pass; out merges it with the previous run when it continues.
   while (remaining_ > 0) {
     auto& st = streams_[current_];
-    const std::uint64_t n = chunk_left_ / burst_;
-    const std::uint64_t base = st.spec.base;
     const std::uint64_t window = st.spec.window;
     const std::uint64_t write_bit = st.spec.is_write ? kPackedWriteBit : 0;
     std::uint64_t offset = st.cursor % window;
-    const std::size_t at = out.size();
-    out.resize(at + n);
-    std::uint64_t* dst = out.data() + at;
-    for (std::uint64_t i = 0; i < n; ++i) {
-      dst[i] = (base + offset) | write_bit;
-      offset += burst_;
-      if (offset == window) offset = 0;
+    std::uint64_t n = chunk_left_ / burst_;
+    while (n > 0) {
+      const std::uint64_t m = std::min(n, (window - offset) / burst_);
+      out.append_run((st.spec.base + offset) | write_bit, m);
+      offset = (offset + m * burst_) % window;
+      n -= m;
     }
     st.cursor += chunk_left_;
     issued_ += chunk_left_;

@@ -40,9 +40,9 @@ class MultiStreamSource final : public TrafficSource {
   /// over [start, start + duration] instead of all-at-start.
   void set_pacing(Time duration) override { pace_duration_ = duration; }
 
-  /// Bulk drain: one chunk at a time, with the window offset computed once
-  /// per chunk and wrapped per burst.
-  void append_packed(std::vector<std::uint64_t>& out) override;
+  /// Bulk drain: one run per chunk, or one more for each window wrap
+  /// inside it.
+  void append_packed(PackedRuns& out) override;
 
  private:
   struct StreamState {

@@ -20,11 +20,11 @@ void TrafficSource::set_pacing(Time duration) {
   });
 }
 
-void TrafficSource::append_packed(std::vector<std::uint64_t>& out) {
+void TrafficSource::append_packed(PackedRuns& out) {
   while (!done()) {
     const ctrl::Request r = head();
     advance();
-    out.push_back(pack_request(r.addr, r.is_write));
+    out.append(pack_request(r.addr, r.is_write));
   }
 }
 

@@ -7,19 +7,12 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "common/units.hpp"
 #include "controller/request.hpp"
+#include "load/packed_runs.hpp"
 
 namespace mcm::load {
-
-/// A request packed into one word: byte address | (is_write << 63).
-inline constexpr std::uint64_t kPackedWriteBit = std::uint64_t{1} << 63;
-[[nodiscard]] inline std::uint64_t pack_request(std::uint64_t addr,
-                                                bool is_write) {
-  return addr | (is_write ? kPackedWriteBit : 0);
-}
 
 class TrafficSource {
  public:
@@ -46,9 +39,9 @@ class TrafficSource {
 
   /// Drain every remaining request into `out`, packed with pack_request(),
   /// in the order head()/advance() would produce them; the source is done()
-  /// afterwards. The default walks head()/advance(); sources with a closed
-  /// form override it with a bulk loop.
-  virtual void append_packed(std::vector<std::uint64_t>& out);
+  /// afterwards. The default appends per head()/advance() step; sources
+  /// with a closed form override it and append whole runs.
+  virtual void append_packed(PackedRuns& out);
 };
 
 }  // namespace mcm::load

@@ -10,10 +10,11 @@
 namespace mcm::load {
 namespace {
 
-// Soft cap on resident cached streams: one 2160p30 format is ~10^7 requests
-// (~80 MB); the cap fits every paper figure with slack while bounding a
-// pathological sweep over many distinct formats. New workloads beyond the
-// cap are generated but not retained; chunk metadata shares the same cap.
+// Soft cap on resident cached streams, counted in encoded bytes: one 2160p30
+// format is ~3.4 * 10^7 requests in ~3.5 * 10^6 runs (~30 MiB); the cap fits
+// every paper figure with slack while bounding a pathological sweep over
+// many distinct formats. New workloads beyond the cap are generated but not retained;
+// chunk metadata shares the same cap.
 constexpr std::uint64_t kMaxCachedBytes = std::uint64_t{2} << 30;
 
 std::string make_key(const video::UseCaseParams& p, std::uint64_t alignment,
@@ -57,12 +58,11 @@ std::shared_ptr<CachedWorkload> build_video_workload(
   auto sources = build_stage_sources(model, layout, opt);
   wl->stages.reserve(sources.size());
   for (auto& src : sources) {
-    CachedStage stage;
-    stage.name = std::string(src->name());
+    CachedStage stage{.name = std::string(src->name()),
+                      .reqs = PackedRuns(opt.burst_bytes)};
     if (!src->done()) stage.source_id = src->head().source;
-    // One request per device burst, so the request count is known up front.
-    stage.reqs.reserve(src->total_bytes() / std::max(1u, opt.burst_bytes));
     src->append_packed(stage.reqs);
+    stage.reqs.shrink_to_fit();
     wl->total_requests += stage.reqs.size();
     wl->stages.push_back(std::move(stage));
   }
@@ -95,12 +95,14 @@ std::shared_ptr<const ChunkMeta> ChunkMeta::build(const CachedStage& stage,
   if (channels > 0) {
     for (auto& v : meta->pos_of) v.reserve(n / channels + 1);
   }
-  for (std::size_t p = 0; p < n; ++p) {
-    const std::uint64_t addr = CachedStage::addr_of(stage.reqs[p]);
+  std::size_t p = 0;
+  for (const std::uint64_t packed : stage.reqs) {
+    const std::uint64_t addr = CachedStage::addr_of(packed);
     const std::uint32_t c =
         static_cast<std::uint32_t>((addr / granularity) % channels);
     meta->chan[p] = static_cast<std::uint8_t>(c);
     meta->pos_of[c].push_back(static_cast<std::uint32_t>(p));
+    ++p;
   }
   return meta;
 }

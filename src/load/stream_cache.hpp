@@ -6,14 +6,16 @@
 // aligned to a whole interleave stripe and requests in the paper's
 // state-machine mode all arrive at the stage start. Generating it through
 // the load models costs a large share of a grid point's wall clock, so the
-// cache enumerates each format once and replays the flat arrays into every
-// grid point that shares it (all Fig. 3 frequency points, every channel
-// count of a Fig. 4 row, whatever their seeds). Concurrent misses on one
-// key wait for a single build.
+// cache enumerates each format once and replays the stored streams into
+// every grid point that shares it (all Fig. 3 frequency points, every
+// channel count of a Fig. 4 row, whatever their seeds). Concurrent misses
+// on one key wait for a single build.
 //
-// A cached request packs (global byte address | is_write) into one word;
-// stage name / source id / ordering are preserved so the frame simulator
-// can reproduce its bookkeeping exactly.
+// A cached stage stores its requests as runs of contiguous bursts
+// (load::PackedRuns, about one byte per request on the raster walks of the
+// video stages) and replays them as packed (global byte address | is_write)
+// words; stage name / source id / ordering are preserved so the frame
+// simulator can reproduce its bookkeeping exactly.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "load/packed_runs.hpp"
 #include "load/usecase_sources.hpp"
 #include "video/surfaces.hpp"
 #include "video/usecase.hpp"
@@ -35,7 +38,7 @@ namespace mcm::load {
 struct CachedStage {
   std::string name;
   std::uint16_t source_id = 0xffff;  // 0xffff = stage emitted no requests
-  std::vector<std::uint64_t> reqs;   // addr | (is_write << 63), stream order
+  PackedRuns reqs;  // addr | (is_write << 63), stream order; step = burst
 
   static constexpr std::uint64_t kWriteBit = kPackedWriteBit;
   [[nodiscard]] static std::uint64_t pack(std::uint64_t addr, bool is_write) {
@@ -59,13 +62,16 @@ struct CachedWorkload {
   // exactly when the stream is.
   std::string key;
 
+  /// Heap bytes of the encoded stage streams.
   [[nodiscard]] std::uint64_t footprint_bytes() const {
-    return total_requests * sizeof(std::uint64_t);
+    std::uint64_t bytes = 0;
+    for (const CachedStage& s : stages) bytes += s.reqs.bytes();
+    return bytes;
   }
 };
 
 /// Per-stage chunk metadata for the epoch-batched sharded engine: the
-/// channel of every position of the flat request array under a given
+/// channel of every position of the stage's request stream under a given
 /// interleave (channels, granularity), plus per-channel sorted position
 /// lists. Workers use pos_of to speculate over their own channels' positions
 /// without touching the shared cursor; the chunk scheduler uses count_in to
@@ -85,8 +91,8 @@ struct ChunkMeta {
                                        std::uint64_t b) const;
 
   /// Route every position of `stage` under (channels, granularity).
-  /// Requires channels <= 255 (the engine falls back to the per-request
-  /// protocol beyond that).
+  /// Requires channels <= 255 (the engine falls back to the sequential feed
+  /// beyond that).
   [[nodiscard]] static std::shared_ptr<const ChunkMeta> build(
       const CachedStage& stage, std::uint32_t channels,
       std::uint32_t granularity);

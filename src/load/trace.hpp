@@ -31,7 +31,7 @@ class TraceError : public std::runtime_error {
 };
 
 /// Largest representable trace address: bit 63 carries the write flag in the
-/// packed stream representation (load::CachedStage), so global byte
+/// packed request word (load::pack_request), so global byte
 /// addresses must stay below it in every trace format.
 inline constexpr std::uint64_t kMaxTraceAddr = (std::uint64_t{1} << 63) - 1;
 

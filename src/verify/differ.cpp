@@ -21,10 +21,9 @@ std::vector<load::CachedWorkload> build_workloads(const Scenario& s,
     load::CachedWorkload wl;
     wl.burst_bytes = burst_bytes;
     for (const ScenarioStage& st : f.stages) {
-      load::CachedStage cs;
-      cs.name = st.name;
-      cs.source_id = st.source;
-      cs.reqs = st.reqs;
+      load::CachedStage cs{.name = st.name, .source_id = st.source,
+                           .reqs = load::PackedRuns(burst_bytes)};
+      for (const std::uint64_t packed : st.reqs) cs.reqs.append(packed);
       wl.total_requests += st.reqs.size();
       wl.stages.push_back(std::move(cs));
     }

@@ -21,7 +21,7 @@ Scenario scenario_from_workload(const workload::WorkloadSpec& spec) {
     ScenarioStage st;
     st.name = stage.name;
     st.source = stage.source_id;
-    st.reqs = stage.reqs;
+    st.reqs.assign(stage.reqs.begin(), stage.reqs.end());
     frame.stages.push_back(std::move(st));
   }
   s.frames.assign(static_cast<std::size_t>(spec.frames), frame);

@@ -95,13 +95,14 @@ class PackedReplaySource final : public load::TrafficSource {
         source_id_(source_id) {
     for (const auto& s : wl_->stages) count_ += s.reqs.size();
     if (max_requests != 0) count_ = std::min(count_, max_requests);
+    if (!wl_->stages.empty()) it_ = wl_->stages.front().reqs.begin();
     skip_empty();
   }
 
   [[nodiscard]] bool done() const override { return emitted_ >= count_; }
 
   [[nodiscard]] ctrl::Request head() const override {
-    const std::uint64_t packed = wl_->stages[stage_].reqs[idx_];
+    const std::uint64_t packed = *it_;
     ctrl::Request r;
     r.addr = base_ + load::CachedStage::addr_of(packed) % span_;
     r.is_write = load::CachedStage::is_write_of(packed);
@@ -118,7 +119,7 @@ class PackedReplaySource final : public load::TrafficSource {
 
   void advance() override {
     ++emitted_;
-    ++idx_;
+    ++it_;
     skip_empty();
   }
 
@@ -131,9 +132,8 @@ class PackedReplaySource final : public load::TrafficSource {
 
  private:
   void skip_empty() {
-    while (stage_ < wl_->stages.size() && idx_ >= wl_->stages[stage_].reqs.size()) {
-      ++stage_;
-      idx_ = 0;
+    while (stage_ < wl_->stages.size() && it_ == wl_->stages[stage_].reqs.end()) {
+      if (++stage_ < wl_->stages.size()) it_ = wl_->stages[stage_].reqs.begin();
     }
   }
 
@@ -145,7 +145,7 @@ class PackedReplaySource final : public load::TrafficSource {
   std::uint64_t count_ = 0;
   std::uint64_t emitted_ = 0;
   std::size_t stage_ = 0;
-  std::size_t idx_ = 0;
+  load::PackedRuns::const_iterator it_;  // next request of stages[stage_]
   Time start_ = Time::zero();
   Time pace_ = Time::zero();
 };
@@ -298,14 +298,10 @@ CompiledWorkload compile_workload(const WorkloadSpec& spec) {
       spec.cache_key(), [&]() -> std::shared_ptr<load::CachedWorkload> {
         MixedTenantSource composed = compose(spec, ctx.plans, ctx.inputs, ctx.burst);
         auto wl = std::make_shared<load::CachedWorkload>();
-        load::CachedStage stage;
-        stage.name = "mixed";
-        stage.source_id = 0;
-        while (!composed.done()) {
-          const ctrl::Request r = composed.head();
-          stage.reqs.push_back(load::CachedStage::pack(r.addr, r.is_write));
-          composed.advance();
-        }
+        load::CachedStage stage{.name = "mixed", .source_id = 0,
+                                .reqs = load::PackedRuns(ctx.burst)};
+        composed.append_packed(stage.reqs);
+        stage.reqs.shrink_to_fit();
         wl->total_requests = stage.reqs.size();
         wl->burst_bytes = ctx.burst;
         wl->stages.push_back(std::move(stage));

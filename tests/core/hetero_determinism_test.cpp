@@ -39,17 +39,14 @@ CachedWorkload make_workload(std::size_t count) {
   // Two stages: a channel-rotating sequential sweep (every channel busy)
   // and a strided pattern that lands unevenly, so fast channels drain far
   // ahead of slow ones.
-  CachedStage seq;
-  seq.name = "seq";
-  seq.source_id = 0;
+  CachedStage seq{.name = "seq", .source_id = 0, .reqs = load::PackedRuns(16)};
   for (std::size_t i = 0; i < count; ++i) {
-    seq.reqs.push_back(CachedStage::pack(i * 16, (i / 4) % 2 == 1));
+    seq.reqs.append(CachedStage::pack(i * 16, (i / 4) % 2 == 1));
   }
-  CachedStage strided;
-  strided.name = "strided";
-  strided.source_id = 1;
+  CachedStage strided{.name = "strided", .source_id = 1,
+                      .reqs = load::PackedRuns(16)};
   for (std::size_t i = 0; i < count / 2; ++i) {
-    strided.reqs.push_back(CachedStage::pack(1 << 20 | (i * 2048), i % 3 == 0));
+    strided.reqs.append(CachedStage::pack(1 << 20 | (i * 2048), i % 3 == 0));
   }
   wl.total_requests = seq.reqs.size() + strided.reqs.size();
   wl.stages.push_back(std::move(seq));

@@ -35,12 +35,11 @@ multichannel::SystemConfig make_system(std::uint32_t channels,
 CachedStage make_stage(const char* name, std::uint16_t source_id,
                        std::uint64_t base, std::uint64_t stride,
                        std::size_t count) {
-  CachedStage s;
-  s.name = name;
-  s.source_id = count == 0 ? 0xffff : source_id;
-  s.reqs.reserve(count);
+  CachedStage s{.name = name,
+                .source_id = count == 0 ? std::uint16_t{0xffff} : source_id,
+                .reqs = load::PackedRuns(16)};
   for (std::size_t i = 0; i < count; ++i) {
-    s.reqs.push_back(CachedStage::pack(base + i * stride, (i / 4) % 2 == 1));
+    s.reqs.append(CachedStage::pack(base + i * stride, (i / 4) % 2 == 1));
   }
   return s;
 }

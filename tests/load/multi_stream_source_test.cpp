@@ -165,13 +165,16 @@ TEST(MultiStreamSource, AppendPackedMatchesHeadAdvance) {
         live.advance();
         bulk.advance();
       }
-      std::vector<std::uint64_t> got = {0xdead};  // appends after what is there
-      bulk.append_packed(got);
+      PackedRuns runs(burst);
+      runs.append(0xdead);  // appends after what is there
+      bulk.append_packed(runs);
       EXPECT_TRUE(bulk.done());
+      std::vector<std::uint64_t> got(runs.begin(), runs.end());
       ASSERT_EQ(got.front(), 0xdeadu);
       got.erase(got.begin());
       ASSERT_EQ(got, drain_one_by_one(live)) << "case " << c << " skip " << skip;
       EXPECT_EQ(got.size(), n - skip);
+      EXPECT_EQ(runs.size(), n - skip + 1);
     }
   }
   // The draws reach every shape the bulk loop special-cases.

@@ -51,20 +51,23 @@ void expect_matches_live(const Format& f, const LoadOptions& opt) {
     EXPECT_EQ(stage.name, src.name());
     src.set_start(Time::zero());
     std::size_t i = 0;
+    auto it = stage.reqs.begin();
     while (!src.done()) {
       const ctrl::Request r = src.head();
       src.advance();
       ASSERT_LT(i, stage.reqs.size()) << stage.name;
-      ASSERT_EQ(CachedStage::addr_of(stage.reqs[i]), r.addr)
+      ASSERT_EQ(CachedStage::addr_of(*it), r.addr)
           << stage.name << " position " << i;
-      ASSERT_EQ(CachedStage::is_write_of(stage.reqs[i]), r.is_write)
+      ASSERT_EQ(CachedStage::is_write_of(*it), r.is_write)
           << stage.name << " position " << i;
+      ++it;
       if (i == 0) {
         EXPECT_EQ(stage.source_id, r.source);
       }
       ++i;
     }
     EXPECT_EQ(i, stage.reqs.size()) << stage.name;
+    EXPECT_TRUE(it == stage.reqs.end()) << stage.name;
     total += i;
   }
   EXPECT_EQ(cached->total_requests, total);
@@ -156,10 +159,8 @@ TEST(StreamCache, SeedOnlyShapesMotionWindowStreams) {
 std::shared_ptr<CachedWorkload> tiny_workload(std::uint64_t n) {
   auto wl = std::make_shared<CachedWorkload>();
   wl->burst_bytes = 16;
-  CachedStage stage;
-  stage.name = "tiny";
-  stage.source_id = 0;
-  for (std::uint64_t i = 0; i < n; ++i) stage.reqs.push_back(i * 16);
+  CachedStage stage{.name = "tiny", .source_id = 0, .reqs = PackedRuns(16)};
+  for (std::uint64_t i = 0; i < n; ++i) stage.reqs.append(i * 16);
   wl->total_requests = n;
   wl->stages.push_back(std::move(stage));
   return wl;
@@ -233,12 +234,47 @@ TEST(StreamCache, ConcurrentMissBuildsOnce) {
   cache.clear();
 }
 
+TEST(StreamCache, CapAndStatsCountEncodedBytes) {
+  auto& cache = StreamCache::instance();
+  cache.clear();
+
+  // A real format: the stats report the runs' heap bytes, well under the
+  // 8 bytes per request of a flat word array.
+  const Format f(params());
+  const auto wl = cache.get(f.model, f.layout, kAlign, LoadOptions{});
+  std::uint64_t encoded = 0;
+  for (const CachedStage& st : wl->stages) encoded += st.reqs.bytes();
+  EXPECT_EQ(wl->footprint_bytes(), encoded);
+  EXPECT_EQ(cache.stats().stream_bytes, encoded);
+  EXPECT_LT(encoded, wl->total_requests * 2) << "raster streams compress";
+
+  // 2^29 sequential requests would be 4 GiB as flat words, twice the soft
+  // cap; encoded they are a few MiB, so the cache retains them.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 29;
+  const auto huge = cache.get_keyed("huge-raster", [] {
+    auto w = std::make_shared<CachedWorkload>();
+    w->burst_bytes = 16;
+    CachedStage stage{.name = "raster", .source_id = 0, .reqs = PackedRuns(16)};
+    stage.reqs.append_run(0, kHuge);
+    stage.reqs.shrink_to_fit();
+    w->total_requests = kHuge;
+    w->stages.push_back(std::move(stage));
+    return w;
+  });
+  EXPECT_LT(huge->footprint_bytes(), kHuge);
+  const StreamCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.stream_entries, 2u) << "retained under the cap";
+  EXPECT_EQ(stats.stream_bytes, encoded + huge->footprint_bytes());
+  EXPECT_EQ(cache.cached_bytes(), stats.stream_bytes);
+  cache.clear();
+}
+
 TEST(StreamCache, ChunkMetaRoutesEveryPosition) {
-  CachedStage stage;
-  stage.name = "meta";
-  stage.source_id = 1;
+  CachedStage stage{.name = "meta", .source_id = 1, .reqs = PackedRuns(16)};
+  std::vector<std::uint64_t> words;
   for (std::uint64_t i = 0; i < 1000; ++i) {
-    stage.reqs.push_back(CachedStage::pack(i * 48, i % 2 == 0));
+    words.push_back(CachedStage::pack(i * 48, i % 2 == 0));
+    stage.reqs.append(words.back());
   }
   const std::uint32_t channels = 4, granularity = 128;
   const auto meta = ChunkMeta::build(stage, channels, granularity);
@@ -254,8 +290,8 @@ TEST(StreamCache, ChunkMetaRoutesEveryPosition) {
     }
   }
   EXPECT_EQ(listed, stage.reqs.size());
-  for (std::size_t p = 0; p < stage.reqs.size(); ++p) {
-    const std::uint64_t addr = CachedStage::addr_of(stage.reqs[p]);
+  for (std::size_t p = 0; p < words.size(); ++p) {
+    const std::uint64_t addr = CachedStage::addr_of(words[p]);
     EXPECT_EQ(meta->chan[p], (addr / granularity) % channels);
   }
   // count_in must agree with a direct scan on arbitrary sub-ranges.

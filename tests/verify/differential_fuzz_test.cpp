@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 
 #include "common/rng.hpp"
 #include "verify/differ.hpp"
@@ -46,6 +47,32 @@ TEST(DifferentialFuzz, DeepQueueScenariosAgree) {
           << " workers=" << workers << ": " << *mismatch;
     }
   }
+}
+
+/// The same seeded scenarios with the queue depth forced above the drawn
+/// range: to 64, policy_sweep's depth, and to 80, deeper still and not a
+/// power of two. Scheduler, page policy and worker count stay as drawn, so
+/// FCFS and closed-page controllers also run deep queues. Overriding after
+/// the draw leaves random_scenario's sequence, and every seed, unchanged.
+TEST(DifferentialFuzz, DrawnScenariosAgreeAtQueueDepths64And80) {
+  mcm::Rng master(1);
+  int deeper_differs = 0;
+  for (int i = 0; i < 100; ++i) {
+    const std::uint64_t case_seed = master.next_u64();
+    Scenario s = random_scenario(case_seed);
+    std::string outcome_at[2];
+    for (const std::uint32_t depth : {64u, 80u}) {
+      s.queue_depth = depth;
+      const auto mismatch = diff_scenario(s);
+      ASSERT_FALSE(mismatch.has_value())
+          << "case seed 0x" << std::hex << case_seed << std::dec
+          << " queue_depth=" << depth << ": " << *mismatch;
+      outcome_at[depth == 80u] = outcome_to_json(run_production(s)).dump_string();
+    }
+    deeper_differs += outcome_at[0] != outcome_at[1];
+  }
+  // Queues do hold more than 64 requests: depth 80 changes some outcomes.
+  EXPECT_GT(deeper_differs, 0);
 }
 
 TEST(DifferentialFuzz, ScenarioGenerationIsDeterministic) {
