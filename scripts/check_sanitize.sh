@@ -3,9 +3,8 @@
 #
 #   scripts/check_sanitize.sh [build-dir]      # ASan+UBSan, full tier-1 suite
 #   MCM_SANITIZE=thread scripts/check_sanitize.sh [build-dir]
-#                                              # TSan on the concurrency
-#                                              # suites (sharded engine,
-#                                              # stream cache, exploration)
+#                                              # TSan on the suites of the
+#                                              # code that starts threads
 #
 # Any sanitizer report fails the run (halt_on_error / abort defaults).
 set -euo pipefail
@@ -25,14 +24,13 @@ cmake --build "$build_dir" -j "$(nproc)"
 
 if [ "$mode" = "thread" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
-  # The suites that exercise real multi-threading: the channel-sharded
-  # engine at 1/2/8 workers (the epoch-batched speculative path, including
-  # forced rollbacks), the sharded-vs-legacy equivalence
-  # runs, the memoized stream cache, the exploration pool, the metrics
-  # registry under concurrent registration, and the profiler's cross-thread
-  # spool merge.
+  # The suites of the code that starts threads: the memoized stream
+  # cache's single-flight build, the exec thread pool, the exploration
+  # orchestrator, the metrics registry under concurrent registration, and
+  # the profiler's cross-thread spool merge. The simulation engine itself
+  # runs on one thread.
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-    -R "SimThreads|SimChunk|ShardedEquivalence|StreamCache|ThreadPool|Orchestrator|MetricsRegistryThreadSafe|ProfTest|ProfPurity|HeteroDeterminism"
+    -R "StreamCache|ThreadPool|Orchestrator|MetricsRegistryThreadSafe|ProfTest"
 else
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"

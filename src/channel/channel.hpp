@@ -68,9 +68,6 @@ class Channel {
   void set_trace_sink(obs::TraceWriter* sink, std::uint32_t channel_id) {
     controller_.set_trace_sink(sink, channel_id);
   }
-  [[nodiscard]] obs::TraceWriter* trace_writer() const {
-    return controller_.trace_writer();
-  }
 
   /// Average power over [0, window].
   [[nodiscard]] ChannelPowerReport power(Time window) const {

@@ -128,9 +128,6 @@ class MemoryController {
     trace_channel_ = channel_id;
   }
 
-  /// The attached trace writer, if any (the sharded engine checks
-  /// supports_rewind() before running chunks speculatively).
-  [[nodiscard]] obs::TraceWriter* trace_writer() const { return trace_sink_; }
 
  private:
   /// FR-FCFS candidate selection; returns a queue slot index.

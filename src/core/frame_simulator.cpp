@@ -135,17 +135,13 @@ FrameSimResult FrameSimulator::run_impl(
     intra_model = std::make_unique<video::UseCaseModel>(intra_params);
   }
 
-  const bool sharded =
-      opt_.mode == ExecutionMode::kStateMachine && !opt_.legacy_feed;
-
-  // Per-channel trace spools for the sharded path (each written by exactly
-  // one worker), merged into canonical order after finalize. The legacy
-  // streaming sink also lives here so it outlives finalize's trailing
-  // PRE/REF/PDE commands.
+  // Per-channel trace spools for the state-machine feed, merged into
+  // canonical order after finalize. The concurrent loop's streaming sink
+  // also lives here so it outlives finalize's trailing PRE/REF/PDE commands.
   std::vector<obs::TraceSpool> spools;
   std::unique_ptr<obs::TraceSink> trace;
 
-  if (sharded) {
+  if (opt_.mode == ExecutionMode::kStateMachine) {
     // The memoized per-frame request stream: one enumeration per format,
     // replayed into every grid point that shares it.
     auto& cache = load::StreamCache::instance();
@@ -176,8 +172,7 @@ FrameSimResult FrameSimulator::run_impl(
 
     static const obs::prof::PhaseId kEngine = obs::prof::phase_id("sim/engine");
     obs::prof::ScopedTimer engine_span(kEngine);
-    const auto out = run_sharded_frames(sys, frames, period, opt_.sim_threads,
-                                        opt_.sim_chunk);
+    const auto out = run_sequential_frames(sys, frames, period);
     engine_span.stop();
     t = out.end_time;
     access_accum = out.access_accum;
@@ -190,6 +185,8 @@ FrameSimResult FrameSimulator::run_impl(
           out.first_frame_stages[i].second});
     }
   } else {
+    // kConcurrent: the paced masters need a live heap loop over the real
+    // sources.
     if (tracing) {
       trace = std::make_unique<obs::TraceSink>(trace_file,
                                                opt_.trace_buffer_events);
@@ -204,15 +201,13 @@ FrameSimResult FrameSimulator::run_impl(
           load::build_stage_sources(is_intra ? *intra_model : model, layout,
                                     load_opt);
 
-      // In concurrent mode, split off the paced masters.
+      // Split off the paced masters.
       std::vector<load::TrafficSource*> paced;
-      if (opt_.mode == ExecutionMode::kConcurrent) {
-        for (const auto& src : sources) {
-          if (!is_paced_stage(*src)) continue;
-          src->set_start(frame_start);
-          src->set_pacing(period);
-          paced.push_back(src.get());
-        }
+      for (const auto& src : sources) {
+        if (!is_paced_stage(*src)) continue;
+        src->set_start(frame_start);
+        src->set_pacing(period);
+        paced.push_back(src.get());
       }
 
       Time stage_start = frame_start;
@@ -260,9 +255,7 @@ FrameSimResult FrameSimulator::run_impl(
       };
 
       for (const auto& src : sources) {
-        const bool paced_stage =
-            opt_.mode == ExecutionMode::kConcurrent && is_paced_stage(*src);
-        if (paced_stage) {
+        if (is_paced_stage(*src)) {
           if (frame == 0) {
             result.stage_results.push_back(StageResult{
                 std::string(src->name()) + " (paced)", stage_start, 0});

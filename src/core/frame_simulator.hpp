@@ -49,18 +49,10 @@ struct FrameSimOptions {
   /// must not be negative.
   int gop_length = 0;
 
-  /// Worker threads for channel-sharded execution of kStateMachine runs
-  /// (0 = MCM_SIM_THREADS, default 1; clamped to the channel count).
-  /// Results are byte-identical at every setting.
+  /// Ignored: every kStateMachine frame runs the one sequential feed. Only
+  /// perfbench sets these; ROADMAP item 1 deletes them.
   unsigned sim_threads = 0;
-
-  /// Positions per speculative chunk for the epoch-batched sharded engine
-  /// (0 = the engine default; 1 = no speculation, the sequential loop).
-  /// Results are byte-identical at every setting.
   unsigned sim_chunk = 0;
-
-  /// Force the historical sequential feed loop instead of the sharded
-  /// engine (equivalence tests; kConcurrent always uses it).
   bool legacy_feed = false;
 
   /// When non-empty, stream the full DRAM command + request-span trace of

@@ -1,11 +1,8 @@
 #include "explore/orchestrator.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <thread>
 
 #include "common/log.hpp"
-#include "core/sharded_engine.hpp"
 #include "exec/thread_pool.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
@@ -13,26 +10,11 @@
 namespace mcm::explore {
 namespace {
 
-/// Sim-thread budget so point-level and channel-level parallelism compose
-/// without oversubscription: each of the pool's `pool_threads` concurrent
-/// points may use at most hardware/pool_threads workers. MCM_SIM_THREADS
-/// (or spec.base.sim.sim_threads) asks; the budget caps. The default ask
-/// is 1, so exploration behavior is unchanged unless intra-point
-/// parallelism is requested explicitly.
-unsigned budgeted_sim_threads(unsigned requested, unsigned pool_threads) {
-  const unsigned want =
-      requested > 0 ? requested : core::sim_threads_from_env();
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned budget = std::max(1u, hw / std::max(1u, pool_threads));
-  return std::min(want, budget);
-}
-
 /// Per-point simulator options: the spec's base options with the
 /// deterministic point seed applied and every shared sink (metrics, trace)
 /// detached — worker tasks must not share mutable state.
 core::FrameSimOptions point_sim_options(const ExperimentSpec& spec,
-                                        const ExplorePoint& point,
-                                        unsigned pool_threads) {
+                                        const ExplorePoint& point) {
   core::FrameSimOptions opt = spec.base.sim;
   opt.load.seed = point.seed(spec.base_seed);
   opt.metrics = nullptr;
@@ -41,7 +23,6 @@ core::FrameSimOptions point_sim_options(const ExperimentSpec& spec,
   // profile the whole exploration and collect once at the caller instead.
   opt.prof_path.clear();
   opt.prof_trace_path.clear();
-  opt.sim_threads = budgeted_sim_threads(opt.sim_threads, pool_threads);
   return opt;
 }
 
@@ -115,15 +96,13 @@ ExploreRun Orchestrator::run(const ExperimentSpec& spec,
         ++run.stats.pruned;
         continue;
       }
-      const unsigned pool_threads = pool.size();
       const std::int64_t enq =
           obs::prof::enabled() ? obs::prof::now_ns() : 0;
-      tasks.push_back([&spec, &run, i, pool_threads, enq] {
+      tasks.push_back([&spec, &run, i, enq] {
         if (enq != 0) obs::prof::tally(kQueueWait, obs::prof::now_ns() - enq);
         obs::prof::ScopedTimer span(kExecute);
         ExploreResult& r = run.results[i];
-        const core::FrameSimulator sim(
-            point_sim_options(spec, r.point, pool_threads));
+        const core::FrameSimulator sim(point_sim_options(spec, r.point));
         r.sim = sim.run(r.point.system(spec.base), r.point.usecase(spec.base));
         r.simulated = true;
       });

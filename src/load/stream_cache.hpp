@@ -70,12 +70,11 @@ struct CachedWorkload {
   }
 };
 
-/// Per-stage chunk metadata for the epoch-batched sharded engine: the
-/// channel of every position of the stage's request stream under a given
-/// interleave (channels, granularity), plus per-channel sorted position
-/// lists. Workers use pos_of to speculate over their own channels' positions
-/// without touching the shared cursor; the chunk scheduler uses count_in to
-/// prove no-stall horizons (occupancy + incoming <= queue depth).
+/// Per-stage chunk metadata: the channel of every position of the stage's
+/// request stream under a given interleave (channels, granularity), plus
+/// per-channel sorted position lists. Only perfbench's load.chunk_meta_ms
+/// probe builds it; ROADMAP item 1 deletes it with StreamCache::chunk_meta
+/// and the meta_* stats.
 struct ChunkMeta {
   std::uint32_t channels = 0;
   std::uint32_t granularity = 0;

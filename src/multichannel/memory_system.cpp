@@ -14,8 +14,7 @@ channel::InterconnectSpec SystemConfig::channel_interconnect(
   if (vault_group >= 2) {
     // Shared TSV bundle: each member channel gets a 1/G TDM share of the
     // handoff interval, plus the bundle's fixed serialization latency. The
-    // transform is per-channel state only, so channel copies/snapshots and
-    // sharded determinism are untouched.
+    // transform is per-channel state only.
     ic.request_interval_cycles =
         std::max(ic.request_interval_cycles, 1) *
         static_cast<int>(vault_group);

@@ -116,7 +116,7 @@ class MemorySystem {
   [[nodiscard]] const channel::Channel& channel(std::uint32_t i) const {
     return channels_[i];
   }
-  /// Mutable channel access for the sharded simulator, which drives each
+  /// Mutable channel access for the state-machine feed, which drives each
   /// channel directly instead of going through try_submit/process_next.
   [[nodiscard]] channel::Channel& channel(std::uint32_t i) {
     return channels_[i];
@@ -174,14 +174,15 @@ class MemorySystem {
   /// channel's controller; events are tagged with the channel index.
   void attach_trace(obs::TraceWriter* sink);
 
-  /// Attach a trace writer to a single channel (sharded simulation gives
-  /// each channel its own spool so writers are never shared across threads).
+  /// Attach a trace writer to a single channel (the state-machine feed
+  /// gives each channel its own spool).
   void attach_trace(obs::TraceWriter* sink, std::uint32_t ch) {
     channels_[ch].set_trace_sink(sink, ch);
   }
 
-  /// Bulk-account `n` requests routed to channel `ch` (the sharded feed
-  /// routes outside the MemorySystem but keeps the routing counters alive).
+  /// Bulk-account `n` requests routed to channel `ch` (the state-machine
+  /// feed routes outside the MemorySystem but keeps the routing counters
+  /// alive).
   void add_route_count(std::uint32_t ch, std::uint64_t n) {
     route_counts_[ch] += n;
   }

@@ -7,18 +7,17 @@
 // for one run).
 //
 // Model:
-//  - A *phase* is an interned hierarchical name ("engine/w2/handoff_wait",
+//  - A *phase* is an interned hierarchical name ("engine/feed",
 //    "sim/feed", "verify/compare"). Ids are stable for the process lifetime.
 //  - `ScopedTimer` records an RAII span (start/duration + nesting, so self
 //    time = wall minus enclosed spans) into a per-thread spool. Use it for
 //    coarse phases only - every span costs two steady_clock reads.
 //  - `tally(phase, dur_ns, calls)` adds a measured duration to a phase
-//    accumulator without emitting a span: the hot-loop form used for stall
-//    episodes the engine times itself (handoff waits, ring-full waits,
-//    barrier waits).
+//    accumulator without emitting a span: the hot-loop form used for
+//    durations the engine times itself (per-stage feed and drain walls).
 //  - `count(phase, n)` bumps a pure event counter (requests retired,
 //    cache hits); `value(phase, v)` samples a dimensionless value into the
-//    phase's log2 histogram (ring occupancy).
+//    phase's log2 histogram.
 //  - Spools are merged into one `ProfileReport` by `collect()`: per-phase
 //    call counts, wall/self time, max, and log2-interpolated p50/p95, plus
 //    the raw spans for Chrome/Perfetto export. Aggregation is pure integer
@@ -75,11 +74,11 @@ void tally(PhaseId phase, std::int64_t dur_ns, std::uint64_t calls = 1);
 /// Bump a pure event counter. No-op while disabled.
 void count(PhaseId phase, std::uint64_t delta);
 
-/// Sample a dimensionless value (e.g. ring occupancy) into the phase's
-/// log2 histogram. No-op while disabled.
+/// Sample a dimensionless value into the phase's log2 histogram. No-op
+/// while disabled.
 void value(PhaseId phase, std::int64_t v);
 
-/// Label the calling thread in Chrome-trace exports ("engine/w3").
+/// Label the calling thread in Chrome-trace exports ("pool/w3").
 void set_thread_label(std::string label);
 
 /// RAII span: records begin/end into the calling thread's spool and

@@ -9,10 +9,8 @@
 //  - `TraceSink` streams straight to an ostream through a fixed-capacity
 //    staging buffer (the original single-threaded behavior).
 //  - `TraceSpool` accumulates events in memory, one spool per channel, for
-//    the channel-sharded simulator; `merge_trace_spools` then emits one
-//    JSONL stream in canonical (time, channel, per-channel sequence) order,
-//    which is byte-identical at any MCM_SIM_THREADS setting because each
-//    channel's event sequence is.
+//    the state-machine feed; `merge_trace_spools` then emits one JSONL
+//    stream in canonical (time, channel, per-channel sequence) order.
 //
 // Schema (one JSON object per line, schema id "mcm.trace/v1"):
 //   {"type":"meta","schema":"mcm.trace/v1","version":1}
@@ -69,18 +67,6 @@ class TraceWriter {
   /// One request lifecycle span on `channel`.
   virtual void span(std::uint32_t channel, std::uint64_t addr, bool is_write,
                     Time arrival, Time first_cmd, Time done, bool row_hit) = 0;
-
-  /// Whether this writer can discard events back to a mark() checkpoint.
-  /// Streaming writers cannot (bytes already left the process); the sharded
-  /// engine only speculates when every attached writer supports rewind.
-  [[nodiscard]] virtual bool supports_rewind() const { return false; }
-
-  /// Opaque checkpoint of the events recorded so far.
-  [[nodiscard]] virtual std::uint64_t mark() const { return 0; }
-
-  /// Discard every event recorded after `checkpoint`. Only meaningful when
-  /// supports_rewind() is true.
-  virtual void rewind(std::uint64_t checkpoint) { (void)checkpoint; }
 };
 
 /// Write the schema meta line that must open every trace stream.
@@ -119,8 +105,7 @@ class TraceSink final : public TraceWriter {
 };
 
 /// Accumulates one channel's events in memory (emission order). Not
-/// thread-safe by itself; the sharded simulator gives each channel its own
-/// spool, so no two threads ever write the same spool.
+/// thread-safe; each channel gets its own spool.
 class TraceSpool final : public TraceWriter {
  public:
   void command(std::uint32_t channel, Time at, dram::Command cmd,
@@ -132,13 +117,6 @@ class TraceSpool final : public TraceWriter {
     return events_;
   }
   [[nodiscard]] std::uint64_t events_recorded() const { return events_.size(); }
-
-  /// Spools buffer in memory, so speculative events can be truncated.
-  [[nodiscard]] bool supports_rewind() const override { return true; }
-  [[nodiscard]] std::uint64_t mark() const override { return events_.size(); }
-  void rewind(std::uint64_t checkpoint) override {
-    if (checkpoint < events_.size()) events_.resize(checkpoint);
-  }
 
  private:
   std::vector<TraceEvent> events_;

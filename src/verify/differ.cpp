@@ -101,8 +101,7 @@ Outcome run_production(const Scenario& s) {
 
   const Time period{s.period_ps};
   const core::ShardedRunOutput run =
-      s.legacy_feed ? core::run_sequential_frames(sys, frames, period)
-                    : core::run_sharded_frames(sys, frames, period, s.sim_threads);
+      core::run_sequential_frames(sys, frames, period);
 
   const Time window =
       max(run.end_time, period * static_cast<std::int64_t>(s.frames.size()));

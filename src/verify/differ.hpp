@@ -1,5 +1,5 @@
 // Differential runner: executes one Scenario through the production
-// simulator (MemorySystem + the channel-sharded or legacy sequential feed)
+// simulator (MemorySystem + the sequential feed)
 // and through the golden reference model, reduces both to the same Outcome
 // shape, and reports the first observable divergence. Compared surfaces:
 // per-channel command/span event sequences (every issue edge, every

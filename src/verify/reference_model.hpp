@@ -11,7 +11,7 @@
 // Request type, and the TraceEvent record with production code — every
 // scheduling and timing decision is recomputed here from first principles,
 // with none of the production fast paths (row-hit streaming, slab queues,
-// channel heaps, sharded feeds, stream memoization).
+// channel heaps, threshold feed, stream memoization).
 //
 // The model checks its own invariants as it runs (commands on clock edges,
 // bank/cluster timing bounds respected, no data-bus overlap, no reordering

@@ -241,6 +241,8 @@ Scenario random_scenario(std::uint64_t seed, bool workload_generators,
   static constexpr std::int64_t kPeriod[] = {2'000'000, 20'000'000, 100'000'000,
                                              1'000'000'000};
   s.period_ps = kPeriod[rng.next_below(4)];
+  // Inert engine fields; still drawn so every later draw, and every seed,
+  // stays where it was.
   s.sim_threads = 1 + static_cast<unsigned>(rng.next_below(8));
   s.legacy_feed = rng.next_below(4) == 0;
 

@@ -71,6 +71,8 @@ struct Scenario {
   int request_interval_cycles = 0;
   std::int64_t interconnect_latency_ps = 1000;
   std::int64_t period_ps = 33'333'333;  // frame period
+  // Inert: the engine has one feed. Drawn, read and written only so seeds
+  // and committed repros stay byte-stable.
   unsigned sim_threads = 1;
   bool legacy_feed = false;
 

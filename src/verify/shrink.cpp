@@ -116,6 +116,8 @@ class Shrinker {
       fn(c);
       progressed |= try_candidate(c);
     };
+    // The inert engine fields go to their defaults, so a repro carries no
+    // noise.
     mutate([](Scenario& c) { c.sim_threads = 1; });
     mutate([](Scenario& c) { c.legacy_feed = false; });
     // Back to the homogeneous legacy system first: most mismatches are not

@@ -13,8 +13,6 @@ Scenario scenario_from_workload(const workload::WorkloadSpec& spec) {
   s.freq_mhz = spec.freq_mhz;
   s.interleave_bytes = spec.interleave_bytes;
   s.period_ps = spec.period_ps;
-  s.sim_threads = spec.sim_threads == 0 ? 1 : spec.sim_threads;
-  s.legacy_feed = spec.legacy_feed;
 
   ScenarioFrame frame;
   for (const auto& stage : compiled.frame->stages) {

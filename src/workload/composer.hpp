@@ -2,9 +2,8 @@
 // replayed trace, or a synthetic generator, carved into its own slice of the
 // global address space) merged into one request stream by arrival time. The
 // merge is deterministic - ties resolve by tenant index - so a composed
-// workload is a pure function of its spec and flows through the sharded
-// engine, the stream cache, and the verifier byte-identically at any worker
-// count.
+// workload is a pure function of its spec and flows through the engine,
+// the stream cache, and the verifier byte-identically.
 #pragma once
 
 #include <memory>

@@ -126,8 +126,6 @@ obs::JsonValue workload_to_json(const WorkloadSpec& s) {
   if (s.vault_group != 0) sys["vault_group"] = s.vault_group;
   doc["frames"] = s.frames;
   doc["period_ps"] = s.period_ps;
-  if (s.sim_threads != 0) doc["sim_threads"] = s.sim_threads;
-  if (s.legacy_feed) doc["legacy_feed"] = true;
   auto& tenants = doc["tenants"];
   tenants = obs::JsonValue::array();
   for (const auto& t : s.tenants) {
@@ -187,9 +185,7 @@ std::optional<WorkloadSpec> workload_from_json(const obs::JsonValue& doc,
   }
   doc.read_integer("frames", s.frames, bad);
   doc.read_integer("period_ps", s.period_ps, bad);
-  doc.read_integer("sim_threads", s.sim_threads, bad);
   if (!bad.empty()) return bail(bad + " is not an integer in range");
-  if (const auto* v = doc.find("legacy_feed")) s.legacy_feed = v->as_bool();
 
   try {
     if (const auto e = s.system_config().validate()) return bail("system." + e->message());

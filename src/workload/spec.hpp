@@ -72,8 +72,6 @@ struct WorkloadSpec {
 
   int frames = 1;
   std::int64_t period_ps = 33'333'333'333;  // 30 fps frame period
-  unsigned sim_threads = 0;             // 0 = MCM_SIM_THREADS
-  bool legacy_feed = false;             // sequential feed loop (verification)
 
   std::vector<TenantSpec> tenants;
 
@@ -84,7 +82,7 @@ struct WorkloadSpec {
   [[nodiscard]] multichannel::SystemConfig system_config() const;
 
   /// Stream-cache key: a compact stamp of every field the compiled request
-  /// stream depends on (engine knobs like sim_threads are excluded).
+  /// stream depends on.
   [[nodiscard]] std::string cache_key() const;
 };
 

@@ -321,9 +321,7 @@ WorkloadRunResult run_workload(const WorkloadSpec& spec) {
   const Time period{spec.period_ps};
 
   const core::ShardedRunOutput out =
-      spec.legacy_feed
-          ? core::run_sequential_frames(sys, frames, period)
-          : core::run_sharded_frames(sys, frames, period, spec.sim_threads);
+      core::run_sequential_frames(sys, frames, period);
 
   const Time window = max(out.end_time, period * spec.frames);
   sys.finalize(window);

@@ -1,6 +1,6 @@
 // Workload compiler + runner: turns an `mcm.workload/v1` spec into the
 // engine's memoized packed-stream form and drives it through the same
-// channel-sharded execution path as the video use case.
+// sequential feed as the video use case.
 //
 // Compilation: each tenant gets a disjoint partition of the global address
 // space (explicit partition_bytes, or an equal share of the remainder),
@@ -8,12 +8,11 @@
 // are built inside their partition and merged by (arrival, tenant index)
 // into ONE mixed stage per frame. Inside the engine all requests of a stage
 // arrive at the stage start, so tenant pacing shapes the *merge order* (rate
-// shaping between tenants), not engine arrival times - which is exactly what
-// keeps composed workloads byte-identical at any MCM_SIM_THREADS.
+// shaping between tenants), not engine arrival times.
 //
 // Compiled streams memoize through load::StreamCache::get_keyed with
-// WorkloadSpec::cache_key(), so sweeps over engine knobs (threads, feed)
-// re-enumerate nothing.
+// WorkloadSpec::cache_key(), so repeated runs of one spec re-enumerate
+// nothing.
 #pragma once
 
 #include <memory>
@@ -56,8 +55,7 @@ struct WorkloadRunResult {
 };
 
 /// Compile and simulate: `frames` repetitions of the composed stream with a
-/// `period_ps` cadence, through the sharded engine (or the sequential feed
-/// when legacy_feed is set). Deterministic at any sim_threads setting.
+/// `period_ps` cadence, through the sequential feed.
 [[nodiscard]] WorkloadRunResult run_workload(const WorkloadSpec& spec);
 
 /// Enumerate the composed merged stream of one frame with its merge-order

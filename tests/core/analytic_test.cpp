@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "core/experiments.hpp"
 
 namespace mcm::core {
@@ -14,6 +16,14 @@ struct Point {
   std::uint32_t channels;
   video::H264Level level;
 };
+
+// Names each case by its values. Without this, GoogleTest prints the raw
+// bytes of the struct, padding included, so the test names would change
+// from one run to the next.
+void PrintTo(const Point& p, std::ostream* os) {
+  *os << "L" << video::level_spec(p.level).name << ' ' << p.freq << "MHz "
+      << p.channels << "ch";
+}
 
 class AnalyticVsSim : public ::testing::TestWithParam<Point> {};
 

@@ -1,7 +1,7 @@
 // Profiling purity: turning the self-profiler on must not change a single
-// byte of the simulation's exported results, at one worker or several. The
-// profiler only ever reads clocks and writes its own thread-local spools, so
-// any divergence here means instrumentation leaked into simulation state.
+// byte of the simulation's exported results. The profiler only ever reads
+// clocks and writes its own thread-local spools, so any divergence here
+// means instrumentation leaked into simulation state.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -15,11 +15,10 @@
 namespace mcm::core {
 namespace {
 
-std::string run_exported(unsigned threads, bool profile) {
+std::string run_exported(bool profile) {
   ExperimentConfig cfg = ExperimentConfig::paper_defaults();
   cfg.usecase.level = video::H264Level::k31;
-  cfg.base.channels = 4;  // enough channels for 4 real workers
-  cfg.sim.sim_threads = threads;
+  cfg.base.channels = 4;
   cfg.sim.profile = profile;
   const FrameSimResult result = FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
   obs::JsonValue root = obs::JsonValue::object();
@@ -40,39 +39,16 @@ class ProfPurityTest : public ::testing::Test {
 };
 
 TEST_F(ProfPurityTest, ReportByteIdenticalSingleWorker) {
-  const std::string off = run_exported(1, false);
+  const std::string off = run_exported(false);
   obs::prof::set_enabled(false);
   (void)obs::prof::collect(true);
-  const std::string on = run_exported(1, true);
+  const std::string on = run_exported(true);
   EXPECT_EQ(off, on);
 
   const obs::prof::ProfileReport rep = obs::prof::collect(true);
   EXPECT_NE(rep.find("sim/run"), nullptr);
-  EXPECT_NE(rep.find("engine/w0/feed"), nullptr);
-}
-
-TEST_F(ProfPurityTest, ReportByteIdenticalFourWorkers) {
-  const std::string off = run_exported(4, false);
-  obs::prof::set_enabled(false);
-  (void)obs::prof::collect(true);
-  const std::string on = run_exported(4, true);
-  EXPECT_EQ(off, on);
-
-  // All four workers must have reported their per-worker phases.
-  const obs::prof::ProfileReport rep = obs::prof::collect(true);
-  EXPECT_NE(rep.find("sim/run"), nullptr);
-  EXPECT_NE(rep.find("engine/w0/feed"), nullptr);
-  EXPECT_NE(rep.find("engine/w3/feed"), nullptr);
-  EXPECT_NE(rep.find("engine/w3/retired"), nullptr);
-}
-
-TEST_F(ProfPurityTest, ProfiledRunsMatchAcrossThreadCounts) {
-  // Determinism and purity combined: profiled 1-worker == profiled 4-worker.
-  const std::string t1 = run_exported(1, true);
-  obs::prof::set_enabled(false);
-  (void)obs::prof::collect(true);
-  const std::string t4 = run_exported(4, true);
-  EXPECT_EQ(t1, t4);
+  EXPECT_NE(rep.find("engine/feed"), nullptr);
+  EXPECT_NE(rep.find("engine/retired"), nullptr);
 }
 
 }  // namespace

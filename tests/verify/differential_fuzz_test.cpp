@@ -31,7 +31,7 @@ TEST(DifferentialFuzz, FortyRandomScenariosAgree) {
 
 /// random_scenario draws queue depths only up to 32; this slice pins
 /// FR-FCFS at depth 64 so the arbitration scan walks a deep queue on every
-/// pick, at one and at four sharded workers.
+/// pick.
 TEST(DifferentialFuzz, DeepQueueScenariosAgree) {
   mcm::Rng master(64);
   for (int i = 0; i < 100; ++i) {
@@ -39,21 +39,17 @@ TEST(DifferentialFuzz, DeepQueueScenariosAgree) {
     Scenario s = random_scenario(case_seed);
     s.queue_depth = 64;
     s.scheduler = "FR-FCFS";
-    for (const unsigned workers : {1u, 4u}) {
-      s.sim_threads = workers;
-      const auto mismatch = diff_scenario(s);
-      ASSERT_FALSE(mismatch.has_value())
-          << "case seed 0x" << std::hex << case_seed << std::dec
-          << " workers=" << workers << ": " << *mismatch;
-    }
+    const auto mismatch = diff_scenario(s);
+    ASSERT_FALSE(mismatch.has_value())
+        << "case seed 0x" << std::hex << case_seed << ": " << *mismatch;
   }
 }
 
 /// The same seeded scenarios with the queue depth forced above the drawn
 /// range: to 64, policy_sweep's depth, and to 80, deeper still and not a
-/// power of two. Scheduler, page policy and worker count stay as drawn, so
-/// FCFS and closed-page controllers also run deep queues. Overriding after
-/// the draw leaves random_scenario's sequence, and every seed, unchanged.
+/// power of two. Scheduler and page policy stay as drawn, so FCFS and
+/// closed-page controllers also run deep queues. Overriding after the draw
+/// leaves random_scenario's sequence, and every seed, unchanged.
 TEST(DifferentialFuzz, DrawnScenariosAgreeAtQueueDepths64And80) {
   mcm::Rng master(1);
   int deeper_differs = 0;

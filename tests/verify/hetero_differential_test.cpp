@@ -49,7 +49,6 @@ TEST(HeteroDifferential, HandWrittenMixedVaultScenarioAgrees) {
   s.channels = 4;
   s.channel_classes = {"fast_edram", "slow_pcm", "mobile_ddr", "fast_edram"};
   s.vault_group = 2;
-  s.sim_threads = 8;
   const auto mismatch = diff_scenario(s);
   ASSERT_FALSE(mismatch.has_value()) << *mismatch;
 }

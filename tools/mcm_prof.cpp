@@ -4,13 +4,6 @@
 //       Pretty-print a profile: per-phase calls, wall/self time, p50/p95.
 //   mcm_prof diff <old.json> <new.json> [--tolerance F] [--fail-on-regression]
 //       Per-phase deltas between two profiles plus a regression verdict.
-//   mcm_prof contention <profile.json> [<baseline.json>]
-//       Aggregate the sharded engine's per-worker phases (feed, drain,
-//       barrier wait), its epoch attribution, and the data-oriented kernel
-//       phases (ctrl/readiness_scan, ctrl/arbitration, ctrl/ledger_flush)
-//       when the profile recorded them. With a baseline profile, report how
-//       much of the wall-clock gap between the two runs the measured waits
-//       explain.
 //   mcm_prof trace <profile.json> <out.json>
 //       Convert the embedded spans to Chrome trace_events JSON
 //       (chrome://tracing, ui.perfetto.dev).
@@ -18,7 +11,6 @@
 // Every input is an mcm.prof/v1 document, as written by
 // FrameSimOptions::prof_path.
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -208,186 +200,12 @@ int diff_profiles(const ProfileReport& a, const ProfileReport& b,
   return regressed && fail_on_regression ? 1 : 0;
 }
 
-struct WorkerWaits {
-  std::int64_t feed_ns = 0, drain_ns = 0;
-  std::int64_t barrier_ns = 0;
-  std::uint64_t barrier_calls = 0;
-  std::uint64_t retired = 0;
-  // Epoch-batched engine phases (zero when the sequential feed ran).
-  std::int64_t speculate_ns = 0, validate_ns = 0, snapshot_ns = 0;
-  std::uint64_t publishes = 0;
-  double spec_depth_p50 = 0, spec_depth_p95 = 0;
-};
-
-/// Parse "engine/w<N>/<kind>" phases into per-worker rows.
-std::map<unsigned, WorkerWaits> worker_waits(const ProfileReport& rep) {
-  std::map<unsigned, WorkerWaits> out;
-  for (const ProfilePhase& ph : rep.phases) {
-    const std::string_view name = ph.name;
-    if (name.rfind("engine/w", 0) != 0) continue;
-    const std::size_t slash = name.find('/', 8);
-    if (slash == std::string_view::npos) continue;
-    unsigned w = 0;
-    bool numeric = slash > 8;
-    for (std::size_t i = 8; i < slash; ++i) {
-      if (std::isdigit(static_cast<unsigned char>(name[i])) == 0) {
-        numeric = false;
-        break;
-      }
-      w = w * 10 + static_cast<unsigned>(name[i] - '0');
-    }
-    if (!numeric) continue;
-    const std::string_view kind = name.substr(slash + 1);
-    WorkerWaits& ww = out[w];
-    if (kind == "feed") {
-      ww.feed_ns = ph.wall_ns;
-    } else if (kind == "drain") {
-      ww.drain_ns = ph.wall_ns;
-    } else if (kind == "barrier_wait") {
-      ww.barrier_ns = ph.wall_ns;
-      ww.barrier_calls = ph.calls;
-    } else if (kind == "retired") {
-      ww.retired = ph.calls;
-    } else if (kind == "speculate") {
-      ww.speculate_ns = ph.wall_ns;
-    } else if (kind == "validate") {
-      ww.validate_ns = ph.wall_ns;
-    } else if (kind == "snapshot") {
-      ww.snapshot_ns = ph.wall_ns;
-    } else if (kind == "publishes") {
-      ww.publishes = ph.calls;
-    } else if (kind == "spec_depth") {
-      ww.spec_depth_p50 = ph.p50;
-      ww.spec_depth_p95 = ph.p95;
-    }
-  }
-  return out;
-}
-
-int contention(const ProfileReport& p, const ProfileReport* baseline) {
-  const auto waits = worker_waits(p);
-  if (waits.empty()) {
-    std::printf("no engine/w* phases in this profile (run with profiling "
-                "enabled and sim_threads >= 1)\n");
-    return 1;
-  }
-  std::printf("%-8s %10s %10s %14s %12s\n", "worker", "feed [ms]",
-              "drain [ms]", "barrier [ms]", "retired");
-  std::int64_t total_wait_ns = 0;
-  std::int64_t max_wait_ns = 0;  // critical-path wait: slowest worker
-  for (const auto& [w, ww] : waits) {
-    std::printf("w%-7u %10.2f %10.2f %9.2f/%-6llu %12llu\n", w,
-                ms(ww.feed_ns), ms(ww.drain_ns), ms(ww.barrier_ns),
-                static_cast<unsigned long long>(ww.barrier_calls),
-                static_cast<unsigned long long>(ww.retired));
-    const std::int64_t wait = ww.barrier_ns;
-    total_wait_ns += wait;
-    max_wait_ns = std::max(max_wait_ns, wait);
-  }
-
-  // Epoch-batched engine attribution (absent for sequential runs).
-  const ProfilePhase* epochs = p.find("engine/epoch_publish");
-  const ProfilePhase* rollback = p.find("engine/rollback");
-  const ProfilePhase* proven = p.find("engine/proven_positions");
-  const double runs = run_count(p);
-  if (epochs != nullptr && epochs->calls > 0) {
-    std::printf("%-8s %12s %12s %12s %12s %18s\n", "worker", "spec [ms]",
-                "valid [ms]", "snap [ms]", "publishes", "spec depth p50/p95");
-    std::uint64_t total_publishes = 0;
-    for (const auto& [w, ww] : waits) {
-      std::printf("w%-7u %12.2f %12.2f %12.2f %12llu %10.0f / %-6.0f\n", w,
-                  ms(ww.speculate_ns), ms(ww.validate_ns), ms(ww.snapshot_ns),
-                  static_cast<unsigned long long>(ww.publishes),
-                  ww.spec_depth_p50, ww.spec_depth_p95);
-      total_publishes += ww.publishes;
-    }
-    std::printf("epochs: %.0f chunk(s)/run, %.1f publishes/chunk, "
-                "%.0f proven position(s)/run, serial step %.2f ms/run\n",
-                static_cast<double>(epochs->calls) / runs,
-                static_cast<double>(total_publishes) /
-                    static_cast<double>(epochs->calls),
-                proven != nullptr
-                    ? static_cast<double>(proven->calls) / runs
-                    : 0.0,
-                ms(epochs->wall_ns) / runs);
-    if (rollback != nullptr && rollback->calls > 0) {
-      std::printf("rollbacks: %.1f/run, serial replay %.2f ms/run\n",
-                  static_cast<double>(rollback->calls) / runs,
-                  ms(rollback->wall_ns) / runs);
-    } else {
-      std::printf("rollbacks: none\n");
-    }
-  }
-  const ProfilePhase* fallback = p.find("engine/sequential_fallback");
-  if (fallback != nullptr && fallback->calls > 0) {
-    std::printf("sequential fallbacks: %.1f/run (the engine log names the "
-                "reason)\n",
-                static_cast<double>(fallback->calls) / runs);
-  }
-
-  // Data-oriented kernel attribution: the controllers tally their SoA
-  // readiness scans, FR-FCFS arbitration picks and batched ledger flushes,
-  // whichever engine feed ran.
-  {
-    const char* kernel_phases[] = {"ctrl/readiness_scan", "ctrl/arbitration",
-                                   "ctrl/ledger_flush"};
-    bool header = false;
-    for (const char* name : kernel_phases) {
-      const ProfilePhase* ph = p.find(name);
-      if (ph == nullptr || ph->calls == 0) continue;
-      if (!header) {
-        std::printf("%-22s %14s %14s %14s\n", "kernel", "calls/run",
-                    "wall [ms/run]", "per call [us]");
-        header = true;
-      }
-      std::printf("%-22s %14.0f %14.3f %14.3f\n", name,
-                  static_cast<double>(ph->calls) / runs,
-                  ms(ph->wall_ns) / runs,
-                  static_cast<double>(ph->wall_ns) / 1e3 /
-                      static_cast<double>(ph->calls));
-    }
-  }
-
-  const double wait_per_run_ms = ms(total_wait_ns) / runs;
-  const double crit_wait_per_run_ms = ms(max_wait_ns) / runs;
-  const double workers = static_cast<double>(waits.size());
-  std::printf("total barrier wait (all workers): "
-              "%.2f ms/run over %.0f run(s); slowest worker %.2f ms/run\n",
-              wait_per_run_ms, runs, crit_wait_per_run_ms);
-
-  if (baseline != nullptr) {
-    // Workers wait concurrently, so the critical-path (slowest-worker) wait
-    // is what shows up on the wall clock; summing across workers would
-    // overstate the gap more the more workers the run has, making runs
-    // with different worker counts incomparable.
-    const auto base_waits = worker_waits(*baseline);
-    const double base_ms = per_run_wall_ms(*baseline);
-    const double cur_ms = per_run_wall_ms(p);
-    const double gap = cur_ms - base_ms;
-    std::printf("baseline (%zu worker(s)): %.2f ms/run vs %.2f ms/run "
-                "(%.0f worker(s)) -> gap %.2f ms\n",
-                base_waits.size(), base_ms, cur_ms, workers, gap);
-    if (gap > 0) {
-      std::printf("slowest-worker wait explains %.0f %% of the gap "
-                  "(all-worker sum: %.0f %%)\n",
-                  crit_wait_per_run_ms / gap * 100.0,
-                  wait_per_run_ms / gap * 100.0);
-    } else {
-      std::printf("no slowdown vs baseline; slowest-worker wait is "
-                  "%.2f ms/run\n",
-                  crit_wait_per_run_ms);
-    }
-  }
-  return 0;
-}
-
 void usage() {
   std::fprintf(
       stderr,
       "usage: mcm_prof <command> [args]\n"
       "  show <profile.json>\n"
       "  diff <old.json> <new.json> [--tolerance F] [--fail-on-regression]\n"
-      "  contention <profile.json> [<baseline.json>]\n"
       "  trace <profile.json> <out.json>\n");
 }
 
@@ -427,18 +245,6 @@ int main(int argc, char** argv) {
     const auto b = load(positional[1]);
     if (!a || !b) return 2;
     return diff_profiles(*a, *b, tolerance, fail_on_regression);
-  }
-
-  if (cmd == "contention" &&
-      (positional.size() == 1 || positional.size() == 2)) {
-    const auto p = load(positional[0]);
-    if (!p) return 2;
-    std::optional<ProfileReport> base;
-    if (positional.size() == 2) {
-      base = load(positional[1]);
-      if (!base) return 2;
-    }
-    return contention(*p, base ? &*base : nullptr);
   }
 
   if (cmd == "trace" && positional.size() == 2) {

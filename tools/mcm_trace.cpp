@@ -16,7 +16,7 @@
 //       at 16 B granularity), and an arrival histogram.
 //
 //   mcm_trace replay SPEC [--report FILE]
-//       Compile + simulate the scenario through the sharded engine and
+//       Compile + simulate the scenario through the state-machine feed and
 //       print the result summary; --report writes the deterministic
 //       mcm.run_report/v1 JSON (also honors MCM_REPORT_DIR).
 //
