@@ -35,7 +35,7 @@ MemoryController::MemoryController(const dram::DeviceSpec& spec, Frequency freq,
       mapper_(spec.org, mux),
       cluster_(spec.org),
       cfg_(cfg),
-      queue_(cfg.queue_depth),
+      queue_(cfg.queue_depth, spec.org.banks),
       // Refresh-free devices (PCM-like class) park the due time at the
       // sentinel so the periodic-refresh loop never fires.
       next_ref_due_(d_.has_refresh() ? d_.cycles(d_.trefi) : Time::max()),
@@ -60,7 +60,7 @@ Time MemoryController::issue_edge(Time t) {
 
 void MemoryController::close_row(Time tp, std::uint32_t b) {
   cluster_.precharge(tp, b, d_);
-  queue_.row_changed(b, kNoOpenRow);
+  queue_.mark_rows_stale();
   ++stats_.precharges;
   record(tp, dram::Command::kPrecharge, b);
 }
@@ -84,6 +84,12 @@ std::uint32_t MemoryController::pick_best() const {
       queue_.entry(head).req.arrival <= horizon_) {
     return head;
   }
+
+  // Every bank closed and every slot arrived (the closed-page shape): the
+  // winner is the oldest slot in the bus direction, else the head, known
+  // without a scan.
+  const std::uint32_t no_hit = queue_.no_hit_pick(horizon_.ps(), dir);
+  if (no_hit != RequestQueue::kNil) return no_hit;
 
   const bool profiling = obs::prof::enabled();
   const std::int64_t t0 = profiling ? obs::prof::now_ns() : 0;
@@ -261,18 +267,25 @@ bool MemoryController::try_stream() {
   std::uint32_t sim_skips = head_skips_;
   std::size_t remaining = queue_.size();
 
-  // Rank-3 candidates in FIFO age order, collected in one walk. Rank 3 is
-  // the maximal rank, so among *ready* entries FR-FCFS reduces to "oldest
-  // ready candidate" - each pick is a short ordered probe of this list, not
-  // a rescan of the lanes. Ranks cannot change inside the stream (rows only
-  // move on ACT/PRE, which end it) and readiness only grows with h, so the
-  // list stays exhaustive for the whole call.
+  // FCFS follows the forced head and needs no candidates: a head that is
+  // not rank 3 ends the stream before it starts.
+  //
+  // FR-FCFS collects the rank-3 candidates in FIFO age order, in one walk.
+  // Rank 3 is the maximal rank, so among *ready* entries FR-FCFS reduces to
+  // "oldest ready candidate" - each pick is a short ordered probe of this
+  // list, not a rescan of the lanes. Ranks cannot change inside the stream
+  // (rows only move on ACT/PRE, which end it) and readiness only grows with
+  // h, so the list stays exhaustive for the whole call.
   cand_.clear();
-  for (std::uint32_t s0 = queue_.head(); s0 != RequestQueue::kNil;
-       s0 = queue_.next(s0)) {
-    if (queue_.hit_write(s0) == want) cand_.push_back(s0);
+  if (!frfcfs) {
+    if (queue_.hit_write(eff_head) != want) return false;
+  } else {
+    for (std::uint32_t s0 = queue_.head(); s0 != RequestQueue::kNil;
+         s0 = queue_.next(s0)) {
+      if (queue_.hit_write(s0) == want) cand_.push_back(s0);
+    }
+    if (cand_.empty()) return false;
   }
-  if (cand_.empty()) return false;
   std::size_t cand_pos = 0;  // list prefix already served (masked)
 
   while (remaining > 0) {
@@ -428,7 +441,7 @@ Completion MemoryController::process_one_slow() {
     }
     const Time ta = issue_edge(max(t, cluster_.earliest_activate(da.bank)));
     cluster_.activate(ta, da.bank, da.row, d_);
-    queue_.row_changed(da.bank, static_cast<std::int64_t>(da.row));
+    queue_.mark_rows_stale();
     ++stats_.activates;
     ++pend_.n_act;
     record(ta, dram::Command::kActivate, da.bank, da.row);

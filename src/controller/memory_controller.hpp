@@ -72,11 +72,11 @@ class MemoryController {
   [[nodiscard]] std::size_t queue_capacity() const { return cfg_.queue_depth; }
 
   /// Admit one request: decode once, seed the SoA lanes (row-hit bit from
-  /// the cluster's open-row lane), sample the queue-depth histogram. Kept in
+  /// the queue's open-row mirror), sample the queue-depth histogram. Kept in
   /// the header so the engine's feed loop pays no call overhead.
   void enqueue(const Request& r) {
     assert(can_accept());
-    queue_.push(r, mapper_.decode(r.addr), cluster_.open_rows());
+    queue_.push(r, mapper_.decode(r.addr));
     stats_.queue_depth.add(static_cast<double>(queue_.size()));
   }
 
@@ -85,6 +85,7 @@ class MemoryController {
   Completion process_one() {
     assert(has_pending());
     if (stream_pos_ < stream_.size()) return pop_stream();
+    queue_.sync_rows(cluster_.open_rows());  // hit bits exact from here on
     if (try_stream()) return pop_stream();
     return process_one_slow();
   }
@@ -216,7 +217,8 @@ class MemoryController {
   RequestQueue queue_;
   std::uint32_t head_skips_ = 0;
 
-  static constexpr std::int64_t kNoOpenRow = dram::BankCluster::kNoOpenRow;
+  static_assert(RequestQueue::kNoRow == dram::BankCluster::kNoOpenRow,
+                "the queue's open-row mirror reads the cluster's lane");
 
   /// Buffered fast-path completions (stream_pos_ = next to hand out) with
   /// the queue slot each one came from — the stream follows FR-FCFS pick

@@ -14,14 +14,27 @@
 //   arrival_ps  request arrival; INT64_MAX on free slots, which
 //               excludes them from both the readiness scan (never "ready")
 //               and the min-arrival scan without a separate liveness mask
-//   hit_write   bit 1: the slot's row is open in its bank, bit 0: direction.
-//               The hit bit is maintained *incrementally*: computed at push
-//               and re-derived only when a bank's open row actually changes
-//               (row_changed()), which is orders of magnitude rarer than
-//               arbitration — so the scan needs no per-slot row lookup
+//   hit_write   bit 1: the slot's row is open in its bank, bit 0: direction
 //   inv_seq     descending FIFO age key: older entries carry strictly
 //               larger values, making "FIFO-first" a plain max
-//   bank_row    packed (bank << 32 | row) for the row_changed() re-derive
+//   bank_row    packed (bank << 32 | row) for the hit-bit re-derive; -1 on
+//               never-used slots
+//
+// Hit bits are re-derived lazily. The queue mirrors, per bank, the open row
+// its bits currently reflect (hit_rows_), and every live slot's hit bit
+// equals (hit_rows_[bank] == row): a push seeds its bit from the mirror.
+// ACT and PRE only mark the rows stale (mark_rows_stale()); sync_rows() then
+// re-derives, once, only the banks whose open row now differs from the
+// mirror, before anything reads a hit bit. A closed-page ACT+PRE returns the
+// bank to the mirrored row and costs no pass; a conflict's PRE+ACT costs one.
+//
+// Two more summaries let the common closed-page pick skip the scan
+// (no_hit_pick()): the number of banks open in the mirror, kept on the
+// re-derive path only, and an upper bound on live arrivals, reset when the
+// queue empties. With every bank closed no slot can be a hit, and with every
+// slot arrived FR-FCFS then reduces to "oldest slot in the bus direction,
+// else the head": a FIFO walk that stops at the first slot in the bus
+// direction.
 //
 // The queue also tracks the earliest (arrival, FIFO-order) entry
 // incrementally: pushes update the cached minimum in O(1), and only a pop of
@@ -63,6 +76,8 @@ class RequestQueue {
   /// strictly larger key, so "FIFO-first" is "largest inv_seq". 2^60 pushes
   /// headroom keeps the key clear of the rank bits the scan packs above it.
   static constexpr std::int64_t kSeqBase = (std::int64_t{1} << 60) - 1;
+  /// Open-row value of a precharged bank (the bank cluster's kNoOpenRow).
+  static constexpr std::int64_t kNoRow = -1;
 
   struct Entry {
     Request req;
@@ -71,12 +86,15 @@ class RequestQueue {
     std::uint32_t prev = kNil;
   };
 
-  explicit RequestQueue(std::size_t capacity)
+  /// `banks` sizes the per-bank open-row mirror; every pushed bank id must
+  /// be below it.
+  RequestQueue(std::size_t capacity, std::uint32_t banks)
       : slots_(capacity),
         arrival_ps_(capacity, kFreeArrival),
         hit_write_(capacity, 0),
         inv_seq_(capacity, 0),
-        bank_row_(capacity, -1) {
+        bank_row_(capacity, -1),
+        hit_rows_(banks, kNoRow) {
     free_.reserve(capacity);
     // Free slots popped back-to-front so the first pushes take slots 0, 1, ...
     for (std::size_t i = capacity; i > 0; --i) {
@@ -104,17 +122,19 @@ class RequestQueue {
   }
 
   [[nodiscard]] QueueLanes lanes() const {
+    assert(!rows_stale_);
     return QueueLanes{arrival_ps_.data(), hit_write_.data(), inv_seq_.data(),
                       static_cast<std::uint32_t>(slots_.size())};
   }
 
   /// True when the slot's row is open in its bank (readiness-scan hit bit).
   [[nodiscard]] bool is_row_hit(std::uint32_t slot) const {
-    return (hit_write_[slot] & kHitBit) != 0;
+    return (hit_write(slot) & kHitBit) != 0;
   }
 
   /// Raw hit|write lane value for a slot (kHitBit | kWriteBit composition).
   [[nodiscard]] std::int64_t hit_write(std::uint32_t slot) const {
+    assert(!rows_stale_);
     return hit_write_[slot];
   }
 
@@ -134,12 +154,12 @@ class RequestQueue {
     return arrival_ps_[slot] == kFreeArrival;
   }
 
-  /// Append at the FIFO tail; returns the slot taken. `open_rows` is the
-  /// bank cluster's open-row lane (kNoOpenRow = -1 when precharged), used
-  /// to seed the slot's hit bit.
-  std::uint32_t push(const Request& r, const DecodedAddress& da,
-                     const std::int64_t* open_rows) {
+  /// Append at the FIFO tail; returns the slot taken. The slot's hit bit is
+  /// seeded from the bank's mirrored open row, so it is exact once the rows
+  /// are synced.
+  std::uint32_t push(const Request& r, const DecodedAddress& da) {
     assert(!full());
+    assert(da.bank < hit_rows_.size());
     const std::uint32_t s = free_.back();
     free_.pop_back();
     Entry& e = slots_[s];
@@ -158,10 +178,11 @@ class RequestQueue {
     const std::int64_t a = r.arrival.ps();
     const std::int64_t row = da.row;
     arrival_ps_[s] = a;
-    hit_write_[s] = (open_rows[da.bank] == row ? kHitBit : 0) |
-                    (r.is_write ? kWriteBit : 0);
+    hit_write_[s] =
+        (hit_rows_[da.bank] == row ? kHitBit : 0) | (r.is_write ? kWriteBit : 0);
     inv_seq_[s] = seq_next_--;
     bank_row_[s] = (static_cast<std::int64_t>(da.bank) << 32) | row;
+    max_arrival_ = a > max_arrival_ ? a : max_arrival_;
     // Min-arrival upkeep: a strictly smaller arrival displaces the cached
     // minimum; on a tie the incumbent wins (earlier FIFO order).
     if (min_slot_ != kNil && a < arrival_ps_[min_slot_]) min_slot_ = s;
@@ -185,25 +206,41 @@ class RequestQueue {
     free_.push_back(slot);
     --size_;
     arrival_ps_[slot] = kFreeArrival;
+    if (size_ == 0) max_arrival_ = kNoArrival;
     if (slot == min_slot_) min_slot_ = kNil;  // repaired lazily on next query
     return e;
   }
 
-  /// Re-derive the hit bits after bank `bank`'s open row changed to
-  /// `open_row` (kNoOpenRow = -1 on precharge). One pass over the packed
-  /// bank_row lane; called only on ACT/PRE, not per arbitration.
-  void row_changed(std::uint32_t bank, std::int64_t open_row) {
-    const std::int64_t key_bank = static_cast<std::int64_t>(bank) << 32;
-    const std::uint32_t n = static_cast<std::uint32_t>(slots_.size());
-    for (std::uint32_t s = 0; s < n; ++s) {
-      if ((bank_row_[s] >> 32) != (key_bank >> 32)) continue;
-      const std::int64_t row = bank_row_[s] & 0xffffffff;
-      if (row == open_row) {
-        hit_write_[s] |= kHitBit;
-      } else {
-        hit_write_[s] &= ~kHitBit;
+  /// Note that some bank's open row changed (ACT or PRE). The hit bits stay
+  /// as they are until sync_rows(); nothing may read them before that.
+  void mark_rows_stale() { rows_stale_ = true; }
+
+  /// Re-derive the hit bits of every bank whose open row (`open_rows`, the
+  /// bank cluster's lane) differs from the row its bits reflect. One pass
+  /// over the bank_row lane per such bank; nothing when no row changed
+  /// since the last sync.
+  void sync_rows(const std::int64_t* open_rows) {
+    if (rows_stale_) [[unlikely]] resync(open_rows);
+  }
+
+  /// The FR-FCFS winner without a scan when every bank is closed (so no
+  /// slot is a row hit) and every live slot has arrived by `horizon_ps`:
+  /// ranks then differ only in the direction bit, so the winner is the
+  /// oldest slot travelling in bus direction `dir` (0 read, 1 write, -1 cold
+  /// bus: none), else the head. A FIFO walk from the head finds it; it stops
+  /// at the first slot in the bus direction. Returns kNil when either
+  /// condition fails; the masked scan decides then. Precondition: no masked
+  /// slot.
+  [[nodiscard]] std::uint32_t no_hit_pick(std::int64_t horizon_ps,
+                                          std::int64_t dir) const {
+    assert(!rows_stale_);
+    if (open_banks_ != 0 || max_arrival_ > horizon_ps) return kNil;
+    if (dir >= 0) {
+      for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
+        if ((hit_write_[s] & kWriteBit) == dir) return s;
       }
     }
+    return head_;
   }
 
   /// Slot of the earliest (arrival, FIFO-order) live entry. Amortized O(1):
@@ -215,6 +252,34 @@ class RequestQueue {
   }
 
  private:
+  static constexpr std::int64_t kNoArrival =
+      std::numeric_limits<std::int64_t>::min();
+
+  // Out of line: rare next to the sync check, which inlines into the
+  // controller's process_one().
+  [[gnu::noinline]] void resync(const std::int64_t* open_rows) {
+    const std::uint32_t banks = static_cast<std::uint32_t>(hit_rows_.size());
+    for (std::uint32_t b = 0; b < banks; ++b) {
+      if (open_rows[b] != hit_rows_[b]) rederive(b, open_rows[b]);
+    }
+    rows_stale_ = false;
+  }
+
+  /// Set every bank-`bank` slot's hit bit to (row == open_row) and record
+  /// open_row as the row the bits now reflect. Free slots keep the bank_row
+  /// of their last request and are rewritten too; nothing reads their bits.
+  void rederive(std::uint32_t bank, std::int64_t open_row) {
+    const std::int64_t key_bank = bank;
+    const std::uint32_t n = static_cast<std::uint32_t>(slots_.size());
+    for (std::uint32_t s = 0; s < n; ++s) {
+      if ((bank_row_[s] >> 32) != key_bank) continue;
+      const bool hit = (bank_row_[s] & 0xffffffff) == open_row;
+      hit_write_[s] = (hit_write_[s] & kWriteBit) | (hit ? kHitBit : 0);
+    }
+    open_banks_ += (open_row != kNoRow) - (hit_rows_[bank] != kNoRow);
+    hit_rows_[bank] = open_row;
+  }
+
   [[nodiscard]] std::uint32_t rescan_min() const {
     std::uint32_t best = kNil;
     std::int64_t best_a = kFreeArrival;
@@ -240,9 +305,14 @@ class RequestQueue {
   std::vector<std::int64_t> arrival_ps_;
   std::vector<std::int64_t> hit_write_;
   std::vector<std::int64_t> inv_seq_;
-  std::vector<std::int64_t> bank_row_;  // -1 on never-used slots
+  std::vector<std::int64_t> bank_row_;
   std::int64_t seq_next_ = kSeqBase;
   mutable std::uint32_t min_slot_ = kNil;  // kNil = unknown, rescan on demand
+
+  std::vector<std::int64_t> hit_rows_;  // per bank: the row the bits reflect
+  int open_banks_ = 0;                  // banks with hit_rows_ != kNoRow
+  bool rows_stale_ = false;             // an ACT/PRE since the last sync
+  std::int64_t max_arrival_ = kNoArrival;  // >= every live arrival
 };
 
 }  // namespace mcm::ctrl

@@ -10,11 +10,17 @@
 // to the old linked-list walk (inv_seq decreases per push, so older entries
 // carry strictly larger keys at equal rank). Free slots carry
 // arrival = INT64_MAX and can never be ready, so no liveness mask is needed.
-// The row-hit bit lives in the hit_write lane, maintained incrementally by
-// the queue (seeded at push, re-derived on the rare ACT/PRE row changes), so
-// the scan touches exactly three contiguous lanes and needs no per-slot
-// open-row lookup. The golden model in src/verify/ shares none of this code;
-// mcm_fuzz differentially certifies the scan against it.
+// The row-hit bit lives in the hit_write lane, kept by the queue: seeded at
+// push and re-derived lazily, per bank whose open row changed, by
+// RequestQueue::sync_rows() before any pick reads it. The scan therefore
+// touches exactly three contiguous lanes and needs no per-slot open-row
+// lookup. It runs only when a cheaper answer is not available: the
+// controller first tries the forced head, a ready rank-3 head, and the
+// queue's no-hit pick (RequestQueue::no_hit_pick(), which must equal this
+// scan whenever it answers). The golden model in src/verify/ shares
+// none of this code; mcm_fuzz differentially certifies the picks against
+// it, and tests/controller/request_queue_property_test.cpp checks the
+// no-hit pick against the scan directly.
 #pragma once
 
 #include <cstdint>

@@ -22,6 +22,32 @@ bool is_paced_stage(const load::TrafficSource& src) {
   return src.name() == "DisplayCtrl" || src.name() == "Audio capture";
 }
 
+/// A source with its head request cached. A paced source's head() costs a
+/// 64-bit modulo and the float pacing arithmetic, and the concurrent feed
+/// reads each head several times per request served, so the head is read
+/// once per advance(). Construct after the source's set_start()/set_pacing().
+class HeadCache {
+ public:
+  explicit HeadCache(load::TrafficSource& src) : src_(&src) { refresh(); }
+
+  [[nodiscard]] bool done() const { return done_; }
+  [[nodiscard]] const ctrl::Request& head() const { return head_; }
+  void advance() {
+    src_->advance();
+    refresh();
+  }
+
+ private:
+  void refresh() {
+    done_ = src_->done();
+    if (!done_) head_ = src_->head();
+  }
+
+  load::TrafficSource* src_;
+  ctrl::Request head_;
+  bool done_ = true;
+};
+
 /// Sweeps re-run the same oversized use case for every grid point; warn
 /// once per distinct (working set, capacity) pair instead of per run.
 void warn_capacity_once(std::uint64_t working_set, std::uint64_t capacity) {
@@ -202,12 +228,12 @@ FrameSimResult FrameSimulator::run_impl(
                                     load_opt);
 
       // Split off the paced masters.
-      std::vector<load::TrafficSource*> paced;
+      std::vector<HeadCache> paced;
       for (const auto& src : sources) {
         if (!is_paced_stage(*src)) continue;
         src->set_start(frame_start);
         src->set_pacing(period);
-        paced.push_back(src.get());
+        paced.emplace_back(*src);
       }
 
       Time stage_start = frame_start;
@@ -226,11 +252,11 @@ FrameSimResult FrameSimulator::run_impl(
       // The paced master with the earliest pending request (merge display and
       // audio by arrival so neither starves behind the other's future-dated
       // requests).
-      const auto next_paced = [&]() -> load::TrafficSource* {
-        load::TrafficSource* best = nullptr;
-        for (auto* p : paced) {
-          if (p->done()) continue;
-          if (best == nullptr || p->head().arrival < best->head().arrival) best = p;
+      const auto next_paced = [&]() -> HeadCache* {
+        HeadCache* best = nullptr;
+        for (HeadCache& p : paced) {
+          if (p.done()) continue;
+          if (best == nullptr || p.head().arrival < best->head().arrival) best = &p;
         }
         return best;
       };
@@ -241,7 +267,7 @@ FrameSimResult FrameSimulator::run_impl(
       // a visible artifact, so real arbiters give scan-out the highest
       // priority).
       const auto feed_paced = [&](Time up_to) {
-        while (load::TrafficSource* p = next_paced()) {
+        while (HeadCache* p = next_paced()) {
           if (p->head().arrival > up_to) break;
           if (sys.try_submit(p->head())) {
             p->advance();
@@ -263,18 +289,19 @@ FrameSimResult FrameSimulator::run_impl(
           continue;  // driven by feed_paced alongside the pipeline
         }
         src->set_start(stage_start);
+        HeadCache stage(*src);
         stage_last_done = stage_start;
         std::uint64_t stage_bytes = 0;
-        current_stage_id = src->done() ? 0xffff : src->head().source;
+        current_stage_id = stage.done() ? 0xffff : stage.head().source;
         static const obs::prof::PhaseId kFeed = obs::prof::phase_id("sim/feed");
         static const obs::prof::PhaseId kDrain =
             obs::prof::phase_id("sim/drain");
         const bool pon = obs::prof::enabled();
         const std::int64_t t_feed0 = pon ? obs::prof::now_ns() : 0;
-        while (!src->done()) {
+        while (!stage.done()) {
           feed_paced(sys.max_horizon());
-          if (sys.try_submit(src->head())) {
-            src->advance();
+          if (sys.try_submit(stage.head())) {
+            stage.advance();
             stage_bytes += burst;
           } else if (auto c = sys.process_next()) {
             on_complete(*c);
@@ -304,7 +331,7 @@ FrameSimResult FrameSimulator::run_impl(
       // still in arrival order.
       if (!paced.empty()) {
         current_stage_id = 0xffff;  // every completion from here on is paced
-        while (load::TrafficSource* p = next_paced()) {
+        while (HeadCache* p = next_paced()) {
           if (sys.try_submit(p->head())) {
             p->advance();
             if (frame == 0) bytes_first_frame += burst;

@@ -84,7 +84,6 @@ struct OpenFrame {
 
 struct Spool {
   std::uint32_t tid = 0;
-  std::string label;
   std::vector<PhaseAcc> accs;  // indexed by PhaseId, grown on demand
   std::vector<RawSpan> spans;
   std::vector<OpenFrame> stack;
@@ -181,18 +180,6 @@ void count(PhaseId phase, std::uint64_t delta) {
   local_spool().acc(phase).calls += delta;
 }
 
-void value(PhaseId phase, std::int64_t v) {
-  if (!enabled()) return;
-  PhaseAcc& a = local_spool().acc(phase);
-  a.calls += 1;
-  hist_sample(a, v);
-}
-
-void set_thread_label(std::string label) {
-  if (!enabled()) return;
-  local_spool().label = std::move(label);
-}
-
 void ScopedTimer::begin(PhaseId phase) {
   local_spool().stack.push_back(OpenFrame{phase, now_ns(), 0});
 }
@@ -241,9 +228,8 @@ ProfileReport collect(bool reset) {
     }
     for (const RawSpan& s : sp.spans) raw_spans.push_back(TaggedSpan{sp.tid, s});
     rep.dropped_spans += sp.dropped;
-    if (!sp.spans.empty() || !sp.label.empty()) {
-      rep.thread_labels.emplace_back(
-          sp.tid, sp.label.empty() ? "t" + std::to_string(sp.tid) : sp.label);
+    if (!sp.spans.empty()) {
+      rep.thread_labels.emplace_back(sp.tid, "t" + std::to_string(sp.tid));
     }
   }
 

@@ -16,8 +16,7 @@
 //    accumulator without emitting a span: the hot-loop form used for
 //    durations the engine times itself (per-stage feed and drain walls).
 //  - `count(phase, n)` bumps a pure event counter (requests retired,
-//    cache hits); `value(phase, v)` samples a dimensionless value into the
-//    phase's log2 histogram.
+//    cache hits).
 //  - Spools are merged into one `ProfileReport` by `collect()`: per-phase
 //    call counts, wall/self time, max, and log2-interpolated p50/p95, plus
 //    the raw spans for Chrome/Perfetto export. Aggregation is pure integer
@@ -41,7 +40,7 @@ namespace mcm::obs::prof {
 
 using PhaseId = std::uint32_t;
 
-/// Log2 duration/value buckets per phase: bucket b counts samples in
+/// Log2 duration buckets per phase: bucket b counts samples in
 /// [2^(b-1), 2^b) (bucket 0: values <= 1). 48 buckets cover ~78 hours in
 /// nanoseconds.
 inline constexpr std::size_t kLogBuckets = 48;
@@ -73,13 +72,6 @@ void tally(PhaseId phase, std::int64_t dur_ns, std::uint64_t calls = 1);
 
 /// Bump a pure event counter. No-op while disabled.
 void count(PhaseId phase, std::uint64_t delta);
-
-/// Sample a dimensionless value into the phase's log2 histogram. No-op
-/// while disabled.
-void value(PhaseId phase, std::int64_t v);
-
-/// Label the calling thread in Chrome-trace exports ("pool/w3").
-void set_thread_label(std::string label);
 
 /// RAII span: records begin/end into the calling thread's spool and
 /// maintains the nesting stack for self-time attribution. Near-free when
@@ -119,7 +111,7 @@ struct ProfilePhase {
   std::int64_t self_ns = 0;  // wall minus enclosed spans (== wall for tallies)
   std::int64_t max_ns = 0;   // largest single sample
   double p50 = 0.0;          // log2-interpolated percentiles of samples
-  double p95 = 0.0;          // (ns for timers, raw units for value())
+  double p95 = 0.0;          // (ns)
 };
 
 /// One recorded span (Chrome-trace "complete event").

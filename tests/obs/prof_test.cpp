@@ -51,7 +51,6 @@ TEST_F(ProfTest, DisabledRecordsNothing) {
   }
   tally(ph, 500);
   count(ph, 3);
-  value(ph, 42);
   set_enabled(true);
   const ProfileReport rep = collect(true);
   EXPECT_EQ(rep.find("test/disabled"), nullptr);
@@ -139,27 +138,9 @@ TEST_F(ProfTest, CountIsAPureCounter) {
   EXPECT_EQ(p->wall_ns, 0);
 }
 
-TEST_F(ProfTest, ValuePercentilesLandInTheLogBucket) {
-  const PhaseId ph = phase_id("test/value");
-  for (int i = 0; i < 100; ++i) value(ph, 1000);
-  const ProfileReport rep = collect(true);
-  const ProfilePhase* p = rep.find("test/value");
-  ASSERT_NE(p, nullptr);
-  EXPECT_EQ(p->calls, 100u);
-  // 1000 lands in bucket [512, 1024); the interpolated quantiles stay there.
-  EXPECT_GE(p->p50, 512.0);
-  EXPECT_LE(p->p50, 1024.0);
-  EXPECT_GE(p->p95, 512.0);
-  EXPECT_LE(p->p95, 1024.0);
-  EXPECT_EQ(p->max_ns, 1000);
-}
-
 TEST_F(ProfTest, CollectMergesSpoolsFromOtherThreads) {
   const PhaseId ph = phase_id("test/worker");
-  std::thread worker([ph] {
-    set_thread_label("unit/worker");
-    tally(ph, 2000, 2);
-  });
+  std::thread worker([ph] { tally(ph, 2000, 2); });
   worker.join();
   tally(ph, 1000);
   const ProfileReport rep = collect(true);
@@ -167,11 +148,6 @@ TEST_F(ProfTest, CollectMergesSpoolsFromOtherThreads) {
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->calls, 3u);
   EXPECT_EQ(p->wall_ns, 3000);
-  bool labeled = false;
-  for (const auto& [tid, label] : rep.thread_labels) {
-    labeled = labeled || label == "unit/worker";
-  }
-  EXPECT_TRUE(labeled);
 }
 
 TEST_F(ProfTest, CollectWithResetClears) {
@@ -242,7 +218,6 @@ TEST_F(ProfTest, FromJsonRejectsWrongSchemaAndBadSpanRefs) {
 
 TEST_F(ProfTest, ChromeTraceIsValidJsonWithSpansAndThreadNames) {
   const PhaseId ph = phase_id("test/chrome");
-  set_thread_label("unit/chrome");
   {
     ScopedTimer t(ph);
     spin_for_ns(1000);

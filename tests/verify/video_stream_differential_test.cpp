@@ -30,6 +30,7 @@ struct Combo {
   const char* page_policy;
   std::uint32_t channels;
   video::H264Level level;
+  std::uint32_t queue_depth = 16;
 };
 
 // Names each case by its tag; without this, GoogleTest prints the struct's
@@ -43,6 +44,7 @@ Scenario video_scenario(const Combo& combo) {
   s.channels = combo.channels;
   s.scheduler = combo.scheduler;
   s.page_policy = combo.page_policy;
+  s.queue_depth = combo.queue_depth;
 
   video::UseCaseParams usecase = core::ExperimentConfig::paper_defaults().usecase;
   usecase.level = combo.level;
@@ -86,7 +88,12 @@ INSTANTIATE_TEST_SUITE_P(
         Combo{"frfcfs_closed_2ch", "FR-FCFS", "closed", 2, video::H264Level::k31},
         Combo{"frfcfs_timeout_8ch", "FR-FCFS", "timeout", 8, video::H264Level::k31},
         Combo{"fcfs_closed_1ch", "FCFS", "closed", 1, video::H264Level::k31},
-        Combo{"frfcfs_open_8ch_l4", "FR-FCFS", "open", 8, video::H264Level::k40}),
+        Combo{"frfcfs_open_8ch_l4", "FR-FCFS", "open", 8, video::H264Level::k40},
+        // perfbench policy_sweep's depth-64 shapes: the no-hit pick, the
+        // lazy hit bits under closed page, and FCFS streams.
+        Combo{"frfcfs_closed_1ch_q64", "FR-FCFS", "closed", 1,
+              video::H264Level::k31, 64},
+        Combo{"fcfs_open_1ch_q64", "FCFS", "open", 1, video::H264Level::k31, 64}),
     [](const ::testing::TestParamInfo<Combo>& info) {
       return info.param.tag;
     });

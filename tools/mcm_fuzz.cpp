@@ -7,7 +7,8 @@
 //
 //   mcm_fuzz --cases 500 --seed 1            # fuzz 500 cases (CI smoke job)
 //   mcm_fuzz --case-seed 0xdeadbeef          # rerun one generated case
-//   mcm_fuzz --replay repro.json             # rerun a saved repro
+//   mcm_fuzz --replay repro.json             # rerun a saved repro (writes
+//                                            # nothing unless --out is given)
 //   mcm_fuzz --cases 50 --seed 1 --inject ignore-twtr --expect-mismatch
 //   mcm_fuzz --cases 200 --generators       # sample workload/ generators too
 //   mcm_fuzz --cases 500 --classes          # heterogeneous channel classes
@@ -36,6 +37,7 @@ struct Options {
   std::optional<std::uint64_t> case_seed;
   std::string inject;
   std::string out = "mcm_fuzz_failure.json";
+  bool out_given = false;
   std::string replay;
   bool expect_mismatch = false;
   bool generators = false;
@@ -53,6 +55,8 @@ struct Options {
       "  --inject BUG       break the reference model: ignore-twtr,\n"
       "                     ignore-tras, free-powerdown-exit\n"
       "  --out FILE         where to write the shrunken repro JSON\n"
+      "                     (default mcm_fuzz_failure.json; --replay writes\n"
+      "                     one only when --out is given)\n"
       "  --replay FILE      run a saved mcm.repro/v1 scenario instead\n"
       "  --expect-mismatch  invert the exit status (harness self-test)\n"
       "  --generators       draw ~half the stage streams from the workload\n"
@@ -103,6 +107,7 @@ Options parse_args(int argc, char** argv) {
       opt.inject = v;
     } else if (const char* v = arg("--out")) {
       opt.out = v;
+      opt.out_given = true;
     } else if (const char* v = arg("--replay")) {
       opt.replay = v;
     } else if (const char* v = arg("--shrink-attempts")) {
@@ -127,8 +132,9 @@ std::optional<std::string> oracle(const Scenario& s) {
   }
 }
 
-/// Returns true when the scenario mismatches (after printing + shrinking).
-bool handle_case(const Scenario& scenario, const Options& opt) {
+/// Returns true when the scenario mismatches (after printing and, when
+/// `shrink` is set, shrinking and saving the repro).
+bool handle_case(const Scenario& scenario, const Options& opt, bool shrink) {
   std::optional<std::string> mismatch;
   try {
     mismatch = mcm::verify::diff_scenario(scenario);
@@ -144,6 +150,7 @@ bool handle_case(const Scenario& scenario, const Options& opt) {
                static_cast<unsigned long long>(scenario.seed),
                static_cast<unsigned long long>(scenario.total_requests()),
                mismatch->c_str());
+  if (!shrink) return true;
   std::fprintf(stderr, "mcm_fuzz: shrinking (budget %llu runs)...\n",
                static_cast<unsigned long long>(opt.shrink_attempts));
   const mcm::verify::ShrinkResult shrunk = mcm::verify::shrink_scenario(
@@ -196,7 +203,9 @@ int main(int argc, char** argv) {
                 opt.replay.c_str(),
                 static_cast<unsigned long long>(s.total_requests()),
                 std::string(to_string(s.inject)).c_str());
-    mismatched = handle_case(s, opt);
+    // A replayed repro is already shrunk; save a re-shrunk copy only on
+    // request, so replaying never drops files into the working directory.
+    mismatched = handle_case(s, opt, opt.out_given);
   } else if (opt.case_seed.has_value()) {
     Scenario s = mcm::verify::random_scenario(*opt.case_seed, opt.generators,
                                               opt.classes);
@@ -204,7 +213,7 @@ int main(int argc, char** argv) {
     std::printf("mcm_fuzz: case seed 0x%llx (%llu requests)\n",
                 static_cast<unsigned long long>(*opt.case_seed),
                 static_cast<unsigned long long>(s.total_requests()));
-    mismatched = handle_case(s, opt);
+    mismatched = handle_case(s, opt, true);
   } else {
     std::printf("mcm_fuzz: %llu cases from master seed %llu%s\n",
                 static_cast<unsigned long long>(opt.cases),
@@ -220,7 +229,7 @@ int main(int argc, char** argv) {
           mcm::verify::random_scenario(case_seed, opt.generators, opt.classes);
       s.inject = inject;
       requests_total += s.total_requests();
-      if (handle_case(s, opt)) {
+      if (handle_case(s, opt, true)) {
         mismatched = true;
         break;  // one shrunken repro is the actionable artifact
       }

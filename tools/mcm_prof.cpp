@@ -61,8 +61,8 @@ std::optional<ProfileReport> load(const std::string& path) {
   return report;
 }
 
-/// A phase with no recorded time is a pure counter (prof::count) or a value
-/// histogram (prof::value): report its calls/percentiles, not ms.
+/// A phase with no recorded time is a pure counter (prof::count): report
+/// its calls, not ms.
 bool is_counter_like(const ProfilePhase& p) { return p.wall_ns == 0; }
 
 double ms(std::int64_t ns) { return static_cast<double>(ns) / 1e6; }
