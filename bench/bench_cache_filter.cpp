@@ -76,17 +76,8 @@ int main() {
     multichannel::SystemConfig cfg;
     cfg.channels = 2;
     multichannel::MemorySystem sys(cfg);
-    Time last = Time::zero();
-    while (!cached.done()) {
-      const auto r = cached.head();
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        cached.advance();
-      } else if (auto c = sys.process_next()) {
-        last = max(last, c->done);
-      }
-    }
-    last = max(last, sys.drain());
+    for (; !cached.done(); cached.advance()) sys.push(cached.head());
+    const Time last = sys.drain();
     char label[32];
     std::snprintf(label, sizeof label, "%llu KiB / 8-way",
                   static_cast<unsigned long long>(kib));

@@ -32,23 +32,16 @@ struct Pipeline {
 };
 
 /// Alternate 64-burst quanta between two pipelines to emulate two concurrent
-/// masters, and return when all traffic is served.
-template <typename System>
-Time run_two_masters(System& sys, Pipeline& a, Pipeline& b) {
-  Time last = Time::zero();
+/// masters; `push` admits one request (global address).
+template <typename Push>
+void run_two_masters(Pipeline& a, Pipeline& b, Push push) {
   const auto pump = [&](Pipeline& p) {
     if (p.done()) return;
     auto& src = *p.stages[p.index];
-    for (int burst = 0; burst < 64 && !src.done();) {
+    for (int burst = 0; burst < 64 && !src.done(); ++burst, src.advance()) {
       ctrl::Request r = src.head();
       r.addr += p.base;
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        src.advance();
-        ++burst;
-      } else if (auto c = sys.process_next()) {
-        last = max(last, c->done);
-      }
+      push(r);
     }
     if (src.done()) ++p.index;
   };
@@ -56,7 +49,6 @@ Time run_two_masters(System& sys, Pipeline& a, Pipeline& b) {
     pump(a);
     pump(b);
   }
-  return max(last, sys.drain());
 }
 
 }  // namespace
@@ -71,7 +63,8 @@ int main() {
   multichannel::MemorySystem shared(shared_cfg);
   Pipeline a1(video::H264Level::k40, 0);
   Pipeline a2(video::H264Level::k31, second_master_base);
-  const Time t_shared = run_two_masters(shared, a1, a2);
+  run_two_masters(a1, a2, [&](const ctrl::Request& r) { shared.push(r); });
+  const Time t_shared = shared.drain();
 
   // (b) Two independent 2-channel clusters, one per master.
   multichannel::ClusterConfig cluster_cfg;
@@ -80,7 +73,18 @@ int main() {
   multichannel::ChannelClusterSystem clustered(cluster_cfg);
   Pipeline b1(video::H264Level::k40, 0);
   Pipeline b2(video::H264Level::k31, second_master_base);
-  const Time t_clustered = run_two_masters(clustered, b1, b2);
+  // Each cluster is driven through its own push/drain: a cluster's results
+  // depend only on its own master's traffic.
+  run_two_masters(b1, b2, [&](ctrl::Request r) {
+    multichannel::MemorySystem& owner =
+        clustered.cluster(clustered.cluster_of(r.addr));
+    r.addr = clustered.local_addr(r.addr);
+    owner.push(r);
+  });
+  Time t_clustered = Time::zero();
+  for (std::uint32_t i = 0; i < clustered.cluster_count(); ++i) {
+    t_clustered = max(t_clustered, clustered.cluster(i).drain());
+  }
 
   std::printf("  shared 4-channel system:   both streams served in %.2f ms\n",
               t_shared.ms());

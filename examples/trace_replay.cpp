@@ -68,17 +68,8 @@ int main(int argc, char** argv) {
     cfg.channels = channels;
     multichannel::MemorySystem sys(cfg);
     load::TraceReplaySource replay(trace, "replay");
-    Time last = Time::zero();
-    while (!replay.done()) {
-      const auto r = replay.head();
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        replay.advance();
-      } else if (auto c = sys.process_next()) {
-        last = max(last, c->done);
-      }
-    }
-    last = max(last, sys.drain());
+    for (; !replay.done(); replay.advance()) sys.push(replay.head());
+    const Time last = sys.drain();
     const auto stats = sys.stats();
     std::printf("%u channel(s): served in %8.2f ms, %s, row hits %.1f%%\n",
                 channels, last.ms(),

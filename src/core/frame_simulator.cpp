@@ -65,6 +65,32 @@ void warn_capacity_once(std::uint64_t working_set, std::uint64_t capacity) {
 
 }  // namespace
 
+void fill_frame_result(FrameSimResult& r, const ShardedRunOutput& out,
+                       const multichannel::MemorySystem& sys, int frames,
+                       Time window, double margin) {
+  r.window = window;
+  r.access_time = Time{out.access_accum.ps() / frames};
+  r.per_frame_access = out.per_frame_access;
+  r.bytes_per_frame = out.bytes_first_frame;
+  for (std::size_t i = 0; i < out.first_frame_stages.size(); ++i) {
+    r.stage_results.push_back(StageResult{out.first_frame_stages[i].first,
+                                          out.first_frame_completed[i],
+                                          out.first_frame_stages[i].second});
+  }
+  r.meets_realtime = r.access_time <= r.frame_period;
+  r.meets_realtime_with_margin =
+      r.access_time.seconds() <= r.frame_period.seconds() * (1.0 - margin);
+  r.achieved_bandwidth_bytes_per_s =
+      r.access_time > Time::zero()
+          ? static_cast<double>(r.bytes_per_frame) / r.access_time.seconds()
+          : 0.0;
+  r.stats = sys.stats();
+  r.power = sys.power(window);
+  r.dram_power_mw = r.power.dram_mw;
+  r.interface_power_mw = r.power.interface_mw;
+  r.total_power_mw = r.power.total_mw;
+}
+
 FrameSimResult FrameSimulator::run(const multichannel::SystemConfig& system,
                                    const video::UseCaseParams& usecase) const {
   if (opt_.profile) obs::prof::set_enabled(true);
@@ -141,11 +167,7 @@ FrameSimResult FrameSimulator::run_impl(
   FrameSimResult result;
   result.frame_period = period;
   result.demand_bandwidth_bytes_per_s = model.total_mb_per_second() * 1e6;
-
-  Time t = Time::zero();
-  Time access_accum = Time::zero();
-  std::uint64_t bytes_first_frame = 0;
-  const std::uint32_t burst = system.device.org.bytes_per_burst();
+  ShardedRunOutput out;
 
   // One request = one device burst; the load granularity follows the device
   // (16 B for the paper's x32 BL4 DDR, 64 B for a wide SDR interface).
@@ -198,21 +220,18 @@ FrameSimResult FrameSimulator::run_impl(
 
     static const obs::prof::PhaseId kEngine = obs::prof::phase_id("sim/engine");
     obs::prof::ScopedTimer engine_span(kEngine);
-    const auto out = run_sequential_frames(sys, frames, period);
+    out = run_sequential_frames(sys, frames, period);
     engine_span.stop();
-    t = out.end_time;
-    access_accum = out.access_accum;
-    bytes_first_frame = out.bytes_first_frame;
-    result.per_frame_access = out.per_frame_access;
-    result.stage_results.reserve(out.first_frame_stages.size());
-    for (std::size_t i = 0; i < out.first_frame_stages.size(); ++i) {
-      result.stage_results.push_back(StageResult{
-          out.first_frame_stages[i].first, out.first_frame_completed[i],
-          out.first_frame_stages[i].second});
-    }
   } else {
     // kConcurrent: the paced masters need a live heap loop over the real
-    // sources.
+    // sources (see MemorySystem's try_submit/process_next).
+    const std::uint32_t burst = system.device.org.bytes_per_burst();
+    const auto book_stage = [&](std::string name, Time completed,
+                                std::uint64_t bytes) {
+      out.first_frame_stages.emplace_back(std::move(name), bytes);
+      out.first_frame_completed.push_back(completed);
+    };
+    Time t = Time::zero();
     if (tracing) {
       trace = std::make_unique<obs::TraceSink>(trace_file,
                                                opt_.trace_buffer_events);
@@ -271,7 +290,7 @@ FrameSimResult FrameSimulator::run_impl(
           if (p->head().arrival > up_to) break;
           if (sys.try_submit(p->head())) {
             p->advance();
-            if (frame == 0) bytes_first_frame += burst;
+            if (frame == 0) out.bytes_first_frame += burst;
           } else if (auto c = sys.process_next()) {
             on_complete(*c);
           } else {
@@ -283,8 +302,7 @@ FrameSimResult FrameSimulator::run_impl(
       for (const auto& src : sources) {
         if (is_paced_stage(*src)) {
           if (frame == 0) {
-            result.stage_results.push_back(StageResult{
-                std::string(src->name()) + " (paced)", stage_start, 0});
+            book_stage(std::string(src->name()) + " (paced)", stage_start, 0);
           }
           continue;  // driven by feed_paced alongside the pipeline
         }
@@ -318,14 +336,13 @@ FrameSimResult FrameSimulator::run_impl(
         const Time last_done = stage_last_done;
         stage_start = max(stage_start, last_done);
         if (frame == 0) {
-          result.stage_results.push_back(
-              StageResult{std::string(src->name()), stage_start, stage_bytes});
-          bytes_first_frame += stage_bytes;
+          book_stage(std::string(src->name()), stage_start, stage_bytes);
+          out.bytes_first_frame += stage_bytes;
         }
       }
 
-      access_accum += stage_start - frame_start;
-      result.per_frame_access.push_back(stage_start - frame_start);
+      out.access_accum += stage_start - frame_start;
+      out.per_frame_access.push_back(stage_start - frame_start);
 
       // Finish any remaining paced traffic (it trickles into the idle tail),
       // still in arrival order.
@@ -334,7 +351,7 @@ FrameSimResult FrameSimulator::run_impl(
         while (HeadCache* p = next_paced()) {
           if (sys.try_submit(p->head())) {
             p->advance();
-            if (frame == 0) bytes_first_frame += burst;
+            if (frame == 0) out.bytes_first_frame += burst;
           } else if (auto c = sys.process_next()) {
             on_complete(*c);
           } else {
@@ -348,9 +365,10 @@ FrameSimResult FrameSimulator::run_impl(
       // system is running behind real time.
       t = max(frame_start + period, max(stage_start, result.paced_last_done));
     }
+    out.end_time = t;
   }
 
-  const Time window = max(t, period * opt_.frames);
+  const Time window = max(out.end_time, period * opt_.frames);
   {
     static const obs::prof::PhaseId kFinalize =
         obs::prof::phase_id("sim/finalize");
@@ -368,24 +386,9 @@ FrameSimResult FrameSimulator::run_impl(
     obs::merge_trace_spools(refs, trace_file);
   }
 
-  result.access_time = Time{access_accum.ps() / opt_.frames};
-  result.window = window;
-  result.bytes_per_frame = bytes_first_frame;
-  result.meets_realtime = result.access_time <= period;
-  result.meets_realtime_with_margin =
-      result.access_time.seconds() <=
-      period.seconds() * (1.0 - opt_.processing_margin);
-  result.achieved_bandwidth_bytes_per_s =
-      result.access_time > Time::zero()
-          ? static_cast<double>(bytes_first_frame) / result.access_time.seconds()
-          : 0.0;
-
-  result.stats = sys.stats();
+  fill_frame_result(result, out, sys, opt_.frames, window,
+                    opt_.processing_margin);
   if (opt_.metrics != nullptr) sys.collect_metrics(*opt_.metrics);
-  result.power = sys.power(window);
-  result.dram_power_mw = result.power.dram_mw;
-  result.interface_power_mw = result.power.interface_mw;
-  result.total_power_mw = result.power.total_mw;
   return result;
 }
 

@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "core/sharded_engine.hpp"
 #include "load/usecase_sources.hpp"
 #include "multichannel/memory_system.hpp"
 #include "video/surfaces.hpp"
@@ -116,6 +117,14 @@ struct FrameSimResult {
   /// Busy time of each simulated frame (GOP structures alternate I/P costs).
   std::vector<Time> per_frame_access;
 };
+
+/// Fill `r`'s timing, real-time verdicts (against `margin`), bandwidth,
+/// stage, stats and power fields from a finished frame loop of `frames`
+/// frames. `r.frame_period` must be set and `sys` finalized at `window`.
+/// FrameSimulator and workload::run_workload both assemble results here.
+void fill_frame_result(FrameSimResult& r, const ShardedRunOutput& out,
+                       const multichannel::MemorySystem& sys, int frames,
+                       Time window, double margin);
 
 class FrameSimulator {
  public:

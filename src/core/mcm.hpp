@@ -4,7 +4,7 @@
 // recording", DATE 2009.
 //
 // Layering (bottom up):
-//   common/sim      - units, stats, clocks, event queue
+//   common/sim      - units, stats, clocks
 //   dram            - device spec, bank FSM, timing checker, energy model
 //   controller      - address mapping, scheduling, refresh, power-down
 //   channel         - MC + interconnect + bank cluster, Eq. (1) interface power
@@ -51,7 +51,6 @@
 #include "multichannel/interleaver.hpp"
 #include "multichannel/memory_system.hpp"
 #include "sim/clock.hpp"
-#include "sim/event_queue.hpp"
 #include "video/encoder_access.hpp"
 #include "video/formats.hpp"
 #include "video/h264_levels.hpp"

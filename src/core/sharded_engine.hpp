@@ -1,26 +1,9 @@
 // Execution of the paper's state-machine load model on memoized streams.
 //
-// The sequential feed (run_sequential_frames) issues each stage's requests
-// in stream order on one thread and orders channel service through
-// per-channel *thresholds* instead of one global (horizon, channel) heap:
-//
-//   for request r -> channel j, in stream order (position p):
-//     1. j applies the max of thresholds published since its previous
-//        position: pop while (horizon_j, j) <lex Tmax, then clear Tmax.
-//     2. if j's queue is full: publish T = (horizon_j, j) to every other
-//        channel (max-merged into their pending Tmax), then pop j once.
-//     3. enqueue r into j.
-//   stage end: every channel drains to empty (pending thresholds are
-//   subsumed by the full drain).
-//
-// This is exactly what a heap loop (`while (!try_submit) process_next`)
-// does: a full-queue stall there serves globally min-(horizon, channel)
-// channels until j's key is the minimum again, i.e. it pops every channel
-// k with (h_k, k) < (h_j, j) up to that bound — and between two of k's own
-// enqueues only the *largest* such bound matters, so the bounds can be
-// applied lazily at k's next position. Cross-channel pop order is
-// output-invariant (stats are merged per channel, stage completion is a
-// max), which is what makes the lazy application legal.
+// run_sequential_frames issues each stage's requests in stream order
+// through MemorySystem::push() (the threshold rule described in
+// multichannel/memory_system.hpp) and closes each stage with drain(), the
+// stage barrier.
 #pragma once
 
 #include <cstdint>
@@ -42,10 +25,9 @@ struct ShardedRunOutput {
 };
 
 /// Run `frame_workloads.size()` frames (entry f = frame f's memoized
-/// stream) against `sys` on the calling thread: the threshold loop above.
-/// Requests carry global addresses and are routed here. Updates sys's
-/// per-channel route counters; channel stats/energy/trace accumulate in the
-/// channels as usual.
+/// stream) against `sys` on the calling thread. Requests carry global
+/// addresses; sys routes them and books its per-channel route counters;
+/// channel stats/energy/trace accumulate in the channels as usual.
 ShardedRunOutput run_sequential_frames(
     multichannel::MemorySystem& sys,
     const std::vector<const load::CachedWorkload*>& frame_workloads,

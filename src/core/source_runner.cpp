@@ -12,19 +12,11 @@ SourceRunResult run_stage_sources(
   Time stage_start = Time::zero();
   for (auto& src : sources) {
     src->set_start(stage_start);
-    Time last_done = stage_start;
-    while (!src->done()) {
-      const ctrl::Request r = src->head();
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        src->advance();
-        out.bytes += burst;
-      } else if (auto c = sys.process_next()) {
-        last_done = max(last_done, c->done);
-      }
+    for (; !src->done(); src->advance()) {
+      sys.push(src->head());
+      out.bytes += burst;
     }
-    while (auto c = sys.process_next()) last_done = max(last_done, c->done);
-    stage_start = max(stage_start, last_done);
+    stage_start = max(stage_start, sys.drain());
   }
 
   out.access_time = stage_start;

@@ -42,41 +42,6 @@ std::uint32_t ChannelClusterSystem::cluster_of(std::uint64_t global_addr) const 
   return static_cast<std::uint32_t>((global_addr / slice_bytes_) % clusters_.size());
 }
 
-bool ChannelClusterSystem::can_accept(std::uint64_t global_addr) const {
-  const auto& c = *clusters_[cluster_of(global_addr)];
-  return c.can_accept(global_addr % slice_bytes_);
-}
-
-void ChannelClusterSystem::submit(const ctrl::Request& r) {
-  ctrl::Request local = r;
-  local.addr = r.addr % slice_bytes_;
-  clusters_[cluster_of(r.addr)]->submit(local);
-}
-
-bool ChannelClusterSystem::any_pending() const {
-  for (const auto& c : clusters_) {
-    if (c->any_pending()) return true;
-  }
-  return false;
-}
-
-std::optional<ctrl::Completion> ChannelClusterSystem::process_next() {
-  // Serve the most-behind cluster, mirroring MemorySystem::process_next.
-  MemorySystem* best = nullptr;
-  for (auto& c : clusters_) {
-    if (!c->any_pending()) continue;
-    if (best == nullptr || c->max_horizon() < best->max_horizon()) best = c.get();
-  }
-  if (best == nullptr) return std::nullopt;
-  return best->process_next();
-}
-
-Time ChannelClusterSystem::drain() {
-  Time last = Time::zero();
-  while (auto c = process_next()) last = max(last, c->done);
-  return last;
-}
-
 void ChannelClusterSystem::finalize(Time end) {
   for (auto& c : clusters_) c->finalize(end);
 }
@@ -84,19 +49,9 @@ void ChannelClusterSystem::finalize(Time end) {
 SystemStats ChannelClusterSystem::stats() const {
   SystemStats s;
   for (const auto& c : clusters_) {
-    const SystemStats cs = c->stats();
-    s.reads += cs.reads;
-    s.writes += cs.writes;
-    s.bytes += cs.bytes;
-    s.row_hits += cs.row_hits;
-    s.row_misses += cs.row_misses;
-    s.row_conflicts += cs.row_conflicts;
-    s.activates += cs.activates;
-    s.precharges += cs.precharges;
-    s.refreshes += cs.refreshes;
-    s.powerdown_entries += cs.powerdown_entries;
-    s.selfrefresh_entries += cs.selfrefresh_entries;
-    s.latency_ns += cs.latency_ns;
+    for (std::uint32_t ch = 0; ch < c->channel_count(); ++ch) {
+      s.add_channel(c->channel(ch));
+    }
   }
   return s;
 }

@@ -2,13 +2,13 @@
 // very large multi-channel memory divided into clusters of a reasonable
 // number of channels, each cluster serving one use case / memory master
 // independently. Each cluster is a complete MemorySystem with its own
-// interleaver; the cluster system partitions the global address space in
-// equal contiguous slices.
+// interleaver, driven through its own push()/drain(); the cluster system
+// partitions the global address space in equal contiguous slices and
+// aggregates stats and power.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "multichannel/memory_system.hpp"
@@ -46,13 +46,13 @@ class ChannelClusterSystem {
   /// Which cluster owns a global address (contiguous equal slices).
   [[nodiscard]] std::uint32_t cluster_of(std::uint64_t global_addr) const;
 
-  /// Submit into the owning cluster with a cluster-local address.
-  [[nodiscard]] bool can_accept(std::uint64_t global_addr) const;
-  void submit(const ctrl::Request& r);
+  /// A global address's offset in its cluster's slice. Callers drive each
+  /// cluster through its own push()/drain() with this address, so a
+  /// cluster's results depend only on its own traffic (paper Section V).
+  [[nodiscard]] std::uint64_t local_addr(std::uint64_t global_addr) const {
+    return global_addr % slice_bytes_;
+  }
 
-  [[nodiscard]] bool any_pending() const;
-  std::optional<ctrl::Completion> process_next();
-  Time drain();
   void finalize(Time end);
 
   [[nodiscard]] SystemStats stats() const;

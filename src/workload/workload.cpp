@@ -328,29 +328,10 @@ WorkloadRunResult run_workload(const WorkloadSpec& spec) {
 
   core::FrameSimResult& r = result.sim;
   r.frame_period = period;
-  r.window = window;
-  r.access_time = Time{out.access_accum.ps() / spec.frames};
-  r.per_frame_access = out.per_frame_access;
-  r.bytes_per_frame = out.bytes_first_frame;
-  for (std::size_t i = 0; i < out.first_frame_stages.size(); ++i) {
-    r.stage_results.push_back(core::StageResult{out.first_frame_stages[i].first,
-                                                out.first_frame_completed[i],
-                                                out.first_frame_stages[i].second});
-  }
-  r.meets_realtime = r.access_time <= period;
-  r.meets_realtime_with_margin =
-      r.access_time.seconds() <= period.seconds() * (1.0 - 0.15);
-  r.achieved_bandwidth_bytes_per_s =
-      r.access_time > Time::zero()
-          ? static_cast<double>(r.bytes_per_frame) / r.access_time.seconds()
-          : 0.0;
+  core::fill_frame_result(r, out, sys, spec.frames, window,
+                          core::FrameSimOptions{}.processing_margin);
   r.demand_bandwidth_bytes_per_s =
       static_cast<double>(r.bytes_per_frame) / period.seconds();
-  r.stats = sys.stats();
-  r.power = sys.power(window);
-  r.dram_power_mw = r.power.dram_mw;
-  r.interface_power_mw = r.power.interface_mw;
-  r.total_power_mw = r.power.total_mw;
   return result;
 }
 

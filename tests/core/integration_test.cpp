@@ -19,22 +19,14 @@ Time drive_usecase(multichannel::MemorySystem& sys, std::size_t max_bursts,
   const video::UseCaseModel model(p);
   const video::SurfaceLayout layout(model);
   auto sources = load::build_stage_sources(model, layout, opt);
-  Time last = Time::zero();
   std::size_t bursts = 0;
   for (auto& src : sources) {
-    while (!src->done() && bursts < max_bursts) {
-      const auto r = src->head();
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        src->advance();
-        ++bursts;
-      } else if (auto c = sys.process_next()) {
-        last = max(last, c->done);
-      }
+    for (; !src->done() && bursts < max_bursts; src->advance(), ++bursts) {
+      sys.push(src->head());
     }
     if (bursts >= max_bursts) break;
   }
-  return max(last, sys.drain());
+  return sys.drain();
 }
 
 TEST(Integration, FullStackCommandTracesAreProtocolLegal) {
@@ -63,8 +55,8 @@ TEST(Integration, MotionWindowTracesAreProtocolLegal) {
   load::LoadOptions opt;
   opt.motion_window_encoder = true;
   multichannel::MemorySystem sys(cfg);
-  (void)drive_usecase(sys, 150'000, opt);
-  sys.finalize(sys.max_horizon() + Time::from_us(100.0));
+  const Time last = drive_usecase(sys, 150'000, opt);
+  sys.finalize(last + Time::from_us(100.0));
   for (std::uint32_t ch = 0; ch < sys.channel_count(); ++ch) {
     const auto& mc = sys.channel(ch).controller();
     dram::TimingChecker checker(cfg.device.org, mc.timing());

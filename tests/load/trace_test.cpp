@@ -81,17 +81,8 @@ TEST(Trace, ReplayMatchesOriginalRunExactly) {
     multichannel::SystemConfig cfg;
     cfg.channels = 2;
     multichannel::MemorySystem sys(cfg);
-    Time last = Time::zero();
-    while (!src.done()) {
-      const auto r = src.head();
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        src.advance();
-      } else if (auto c = sys.process_next()) {
-        last = max(last, c->done);
-      }
-    }
-    last = max(last, sys.drain());
+    for (; !src.done(); src.advance()) sys.push(src.head());
+    const Time last = sys.drain();
     return std::pair{last, sys.stats()};
   };
 

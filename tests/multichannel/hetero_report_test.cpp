@@ -27,8 +27,9 @@ SystemConfig two_channel_hetero() {
 
 /// Row-conflict-heavy pattern mirrored onto both channels: every burst
 /// ping-pongs between two rows of one bank, so service time is dominated by
-/// tRC — exactly where the classes differ.
-void drive_mirrored_conflicts(MemorySystem& sys, int count) {
+/// tRC — exactly where the classes differ. Returns the last completion.
+Time drive_mirrored_conflicts(MemorySystem& sys, int count) {
+  Time last = Time::zero();
   const std::uint64_t stripe = sys.config().interleave_bytes;
   const std::uint64_t row = 2048 * 4;  // next row, same bank stride (RBC)
   for (int i = 0; i < count; ++i) {
@@ -36,10 +37,11 @@ void drive_mirrored_conflicts(MemorySystem& sys, int count) {
       const std::uint64_t local = (i % 2 == 0) ? 0 : row * 8;
       // Global address that routes to channel `ch` with local offset.
       const std::uint64_t addr = (local / stripe) * stripe * 2 + ch * stripe;
-      sys.submit(ctrl::Request{addr, false, Time::zero(), 0});
-      (void)sys.process_next();
+      sys.push(ctrl::Request{addr, false, Time::zero(), 0});
+      last = max(last, sys.drain());
     }
   }
+  return last;
 }
 
 TEST(HeteroReport, ChannelsBindTheirOwnClassTables) {
@@ -56,8 +58,7 @@ TEST(HeteroReport, ChannelsBindTheirOwnClassTables) {
 
 TEST(HeteroReport, DifferentTrcYieldsDifferentPerChannelP95) {
   MemorySystem sys(two_channel_hetero());
-  drive_mirrored_conflicts(sys, 400);
-  sys.finalize(sys.max_horizon());
+  sys.finalize(drive_mirrored_conflicts(sys, 400));
 
   const SystemStats st = sys.stats();
   ASSERT_EQ(st.per_channel.size(), 2u);
@@ -140,14 +141,16 @@ TEST(HeteroReport, HotStreamOnFastClusterBeatsSwappedPlacement) {
     const std::uint64_t row = 2048 * cfg.per_cluster.channels * 4;
     // Hot: row ping-pong in cluster 0's slice. Cold: a short sequential
     // stream in cluster 1's slice.
+    // Each cluster is driven through its own push/drain.
     Time last = Time::zero();
     for (int i = 0; i < 600; ++i) {
       const std::uint64_t hot = (i % 2 == 0) ? 0 : row * 8;
-      sys.submit(ctrl::Request{hot + (i % 2), false, Time::zero(), 0});
+      sys.cluster(0).push(ctrl::Request{hot + (i % 2), false, Time::zero(), 0});
       if (i % 8 == 0) {
-        sys.submit(ctrl::Request{slice + i * 16ull, false, Time::zero(), 0});
+        sys.cluster(1).push(ctrl::Request{sys.local_addr(slice + i * 16ull), false,
+                                          Time::zero(), 0});
       }
-      while (auto c = sys.process_next()) last = max(last, c->done);
+      last = max(last, max(sys.cluster(0).drain(), sys.cluster(1).drain()));
     }
     return last;
   };

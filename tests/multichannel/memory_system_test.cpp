@@ -30,19 +30,11 @@ TEST(MemorySystem, EightChannelsMatchPaperXdrComparison) {
 TEST(MemorySystem, RoutesAndServesSequentialTraffic) {
   MemorySystem sys(make_config(4));
   const int n = 1024;
-  int submitted = 0;
-  Time last = Time::zero();
-  while (submitted < n) {
-    const ctrl::Request r{static_cast<std::uint64_t>(submitted) * 16, false,
-                          Time::zero(), 0};
-    if (sys.can_accept(r.addr)) {
-      sys.submit(r);
-      ++submitted;
-    } else if (auto c = sys.process_next()) {
-      last = max(last, c->done);
-    }
+  for (int i = 0; i < n; ++i) {
+    sys.push(ctrl::Request{static_cast<std::uint64_t>(i) * 16, false,
+                           Time::zero(), 0});
   }
-  last = max(last, sys.drain());
+  const Time last = sys.drain();
   const SystemStats s = sys.stats();
   EXPECT_EQ(s.reads, static_cast<std::uint64_t>(n));
   EXPECT_EQ(s.bytes, static_cast<std::uint64_t>(n) * 16);
@@ -57,19 +49,11 @@ TEST(MemorySystem, MoreChannelsServeFasterNearLinearly) {
   auto run = [](std::uint32_t channels) {
     MemorySystem sys(make_config(channels));
     const int n = 4096;
-    int submitted = 0;
-    Time last = Time::zero();
-    while (submitted < n) {
-      const ctrl::Request r{static_cast<std::uint64_t>(submitted) * 16,
-                            (submitted % 4) == 0, Time::zero(), 0};
-      if (sys.can_accept(r.addr)) {
-        sys.submit(r);
-        ++submitted;
-      } else if (auto c = sys.process_next()) {
-        last = max(last, c->done);
-      }
+    for (int i = 0; i < n; ++i) {
+      sys.push(ctrl::Request{static_cast<std::uint64_t>(i) * 16, (i % 4) == 0,
+                             Time::zero(), 0});
     }
-    return max(last, sys.drain());
+    return sys.drain();
   };
   const Time t1 = run(1);
   const Time t2 = run(2);
@@ -82,9 +66,7 @@ TEST(MemorySystem, MoreChannelsServeFasterNearLinearly) {
 TEST(MemorySystem, PowerReportAggregatesChannels) {
   MemorySystem sys(make_config(2));
   for (int i = 0; i < 64; ++i) {
-    const ctrl::Request r{static_cast<std::uint64_t>(i) * 16, false, Time::zero(), 0};
-    while (!sys.can_accept(r.addr)) (void)sys.process_next();
-    sys.submit(r);
+    sys.push(ctrl::Request{static_cast<std::uint64_t>(i) * 16, false, Time::zero(), 0});
   }
   (void)sys.drain();
   const Time window = Time::from_ms(1.0);
@@ -98,22 +80,24 @@ TEST(MemorySystem, PowerReportAggregatesChannels) {
 }
 
 TEST(MemorySystem, ProcessNextServesMostBehindChannel) {
-  // Load only channel 0 heavily, then one request on channel 1: the engine
-  // serves channel 1 first (smaller horizon), keeping channels in step.
+  // The kConcurrent loop's heap path. Load only channel 0 heavily, then one
+  // request on channel 1: the heap serves channel 1 first (smaller
+  // horizon), keeping channels in step.
   MemorySystem sys(make_config(2));
   for (int i = 0; i < 8; ++i) {
-    sys.submit(ctrl::Request{static_cast<std::uint64_t>(i) * 32, false,
-                             Time::zero(), 0});  // stride 32: all channel 0
-  }
+    ASSERT_TRUE(sys.try_submit(ctrl::Request{static_cast<std::uint64_t>(i) * 32,
+                                             false, Time::zero(), 0}));
+  }  // stride 32: all channel 0
   // Advance channel 0's horizon.
   for (int i = 0; i < 8; ++i) (void)sys.process_next();
-  EXPECT_FALSE(sys.any_pending());
-  sys.submit(ctrl::Request{0, false, Time::zero(), 1});   // channel 0 again
-  sys.submit(ctrl::Request{16, false, Time::zero(), 2});  // channel 1 (behind)
+  EXPECT_FALSE(sys.process_next().has_value());
+  ASSERT_TRUE(sys.try_submit(ctrl::Request{0, false, Time::zero(), 1}));   // channel 0
+  ASSERT_TRUE(sys.try_submit(ctrl::Request{16, false, Time::zero(), 2}));  // channel 1
   const auto first = sys.process_next();
   ASSERT_TRUE(first.has_value());
   EXPECT_EQ(first->req.source, 2);
-  (void)sys.drain();
+  EXPECT_EQ(sys.process_next()->req.source, 1);
+  EXPECT_FALSE(sys.process_next().has_value());
 }
 
 TEST(MemorySystem, RejectsInvalidConfig) {
@@ -170,19 +154,11 @@ TEST(MemorySystem, AddressesBeyondCapacityWrapConsistently) {
   MemorySystem sys(cfg);
   ASSERT_EQ(sys.capacity_bytes(), 2ull * 1024 * 1024);
   const int n = 1024;
-  int submitted = 0;
-  while (submitted < n) {
+  for (int i = 0; i < n; ++i) {
     // Stride through 8x the capacity.
     const std::uint64_t addr =
-        (static_cast<std::uint64_t>(submitted) * 16 * 1024 + 48) %
-        (8 * sys.capacity_bytes());
-    const ctrl::Request r{addr, (submitted % 2) == 0, Time::zero(), 0};
-    if (sys.can_accept(r.addr)) {
-      sys.submit(r);
-      ++submitted;
-    } else {
-      (void)sys.process_next();
-    }
+        (static_cast<std::uint64_t>(i) * 16 * 1024 + 48) % (8 * sys.capacity_bytes());
+    sys.push(ctrl::Request{addr, (i % 2) == 0, Time::zero(), 0});
   }
   (void)sys.drain();
   EXPECT_EQ(sys.stats().accesses(), static_cast<std::uint64_t>(n));

@@ -22,16 +22,9 @@ SystemConfig make_config(std::uint32_t channels) {
 }
 
 void run_traffic(MemorySystem& sys, int n) {
-  int submitted = 0;
-  while (submitted < n) {
-    const ctrl::Request r{static_cast<std::uint64_t>(submitted) * 64 + 16,
-                          (submitted % 3) == 0, Time::zero(), 0};
-    if (sys.can_accept(r.addr)) {
-      sys.submit(r);
-      ++submitted;
-    } else {
-      (void)sys.process_next();
-    }
+  for (int i = 0; i < n; ++i) {
+    sys.push(ctrl::Request{static_cast<std::uint64_t>(i) * 64 + 16, (i % 3) == 0,
+                           Time::zero(), 0});
   }
   (void)sys.drain();
 }
