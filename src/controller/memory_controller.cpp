@@ -40,9 +40,6 @@ MemoryController::MemoryController(const dram::DeviceSpec& spec, Frequency freq,
       // sentinel so the periodic-refresh loop never fires.
       next_ref_due_(d_.has_refresh() ? d_.cycles(d_.trefi) : Time::max()),
       bank_accesses_(spec.org.banks, 0) {
-  if (cfg_.record_trace && cfg_.trace_reserve > 0) {
-    trace_.reserve(cfg_.trace_reserve);
-  }
   stream_.reserve(cfg_.queue_depth);
   cand_.reserve(cfg_.queue_depth);
 }

@@ -69,7 +69,6 @@ class MemoryController {
   [[nodiscard]] bool can_accept() const { return queue_.size() < cfg_.queue_depth; }
   [[nodiscard]] bool has_pending() const { return !queue_.empty(); }
   [[nodiscard]] std::size_t pending() const { return queue_.size(); }
-  [[nodiscard]] std::size_t queue_capacity() const { return cfg_.queue_depth; }
 
   /// Admit one request: decode once, seed the SoA lanes (row-hit bit from
   /// the queue's open-row mirror), sample the queue-depth histogram. Kept in
@@ -114,8 +113,6 @@ class MemoryController {
   /// different spec per channel, so consumers must read it from here rather
   /// than from a system-wide config.
   [[nodiscard]] const dram::DeviceSpec& device() const { return spec_; }
-  [[nodiscard]] const AddressMapper& mapper() const { return mapper_; }
-  [[nodiscard]] const std::vector<dram::CommandRecord>& trace() const { return trace_; }
 
   /// Accesses served per bank (index = bank id).
   [[nodiscard]] const std::vector<std::uint64_t>& bank_accesses() const {
@@ -190,11 +187,10 @@ class MemoryController {
   /// Repay postponed refreshes (idle gap or before self refresh).
   void flush_refresh_debt();
 
-  /// Book a command into the in-memory trace and the structured sink. The
-  /// disabled-path checks inline into the hot loops; only the sink write
-  /// stays out of line (obs::TraceWriter is incomplete here).
+  /// Book a command into the structured sink. The disabled-path check
+  /// inlines into the hot loops; only the sink write stays out of line
+  /// (obs::TraceWriter is incomplete here).
   void record(Time at, dram::Command c, std::uint32_t bank = 0, std::uint32_t row = 0) {
-    if (cfg_.record_trace) trace_.push_back(dram::CommandRecord{at, c, bank, row});
     if (trace_sink_ != nullptr) record_sink(at, c, bank, row);
   }
   void record_sink(Time at, dram::Command c, std::uint32_t bank, std::uint32_t row);
@@ -257,7 +253,6 @@ class MemoryController {
     }
   };
   mutable PendingLedger pend_;
-  std::vector<dram::CommandRecord> trace_;
   std::vector<std::uint64_t> bank_accesses_;
   obs::TraceWriter* trace_sink_ = nullptr;  // not owned; nullptr = disabled
   std::uint32_t trace_channel_ = 0;

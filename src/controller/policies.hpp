@@ -81,13 +81,6 @@ struct ControllerConfig {
   /// full per-request machinery. Bit-identical to the slow path (see
   /// docs/performance.md for the invariants); off = always slow path.
   bool stream_row_hits = true;
-
-  /// Record the full DRAM command trace (tests / debugging; costs memory).
-  bool record_trace = false;
-
-  /// Reserve hint for the recorded command trace (entries). Only used when
-  /// record_trace is set; avoids repeated growth reallocation on long runs.
-  std::size_t trace_reserve = 4096;
 };
 
 }  // namespace mcm::ctrl

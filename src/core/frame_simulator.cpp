@@ -93,7 +93,6 @@ void fill_frame_result(FrameSimResult& r, const ShardedRunOutput& out,
 
 FrameSimResult FrameSimulator::run(const multichannel::SystemConfig& system,
                                    const video::UseCaseParams& usecase) const {
-  if (opt_.profile) obs::prof::set_enabled(true);
   if (!obs::prof::enabled()) return run_impl(system, usecase);
 
   FrameSimResult result;
@@ -102,25 +101,14 @@ FrameSimResult FrameSimulator::run(const multichannel::SystemConfig& system,
     obs::prof::ScopedTimer span(kRun);
     result = run_impl(system, usecase);
   }
-  if (!opt_.prof_path.empty() || !opt_.prof_trace_path.empty()) {
+  if (!opt_.prof_path.empty()) {
     const obs::prof::ProfileReport report = obs::prof::collect(/*reset=*/true);
-    if (!opt_.prof_path.empty()) {
-      std::ofstream out(opt_.prof_path);
-      if (out) {
-        report.to_json(/*with_spans=*/true).dump(out);
-        out << '\n';
-      } else {
-        MCM_LOG_WARN("cannot open profile file '%s'", opt_.prof_path.c_str());
-      }
-    }
-    if (!opt_.prof_trace_path.empty()) {
-      std::ofstream out(opt_.prof_trace_path);
-      if (out) {
-        report.write_chrome_trace(out);
-      } else {
-        MCM_LOG_WARN("cannot open trace-events file '%s'",
-                     opt_.prof_trace_path.c_str());
-      }
+    std::ofstream out(opt_.prof_path);
+    if (out) {
+      report.to_json(/*with_spans=*/true).dump(out);
+      out << '\n';
+    } else {
+      MCM_LOG_WARN("cannot open profile file '%s'", opt_.prof_path.c_str());
     }
   }
   return result;
@@ -233,8 +221,7 @@ FrameSimResult FrameSimulator::run_impl(
     };
     Time t = Time::zero();
     if (tracing) {
-      trace = std::make_unique<obs::TraceSink>(trace_file,
-                                               opt_.trace_buffer_events);
+      trace = std::make_unique<obs::TraceSink>(trace_file);
       sys.attach_trace(trace.get());
     }
 
@@ -346,20 +333,9 @@ FrameSimResult FrameSimulator::run_impl(
 
       // Finish any remaining paced traffic (it trickles into the idle tail),
       // still in arrival order.
-      if (!paced.empty()) {
-        current_stage_id = 0xffff;  // every completion from here on is paced
-        while (HeadCache* p = next_paced()) {
-          if (sys.try_submit(p->head())) {
-            p->advance();
-            if (frame == 0) out.bytes_first_frame += burst;
-          } else if (auto c = sys.process_next()) {
-            on_complete(*c);
-          } else {
-            break;  // defensive: nothing pending yet sources stuck
-          }
-        }
-        while (auto c = sys.process_next()) on_complete(*c);
-      }
+      current_stage_id = 0xffff;  // every completion from here on is paced
+      feed_paced(Time::max());
+      while (auto c = sys.process_next()) on_complete(*c);
 
       // The next frame starts at the sensor cadence, or immediately when the
       // system is running behind real time.

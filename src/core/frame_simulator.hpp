@@ -60,22 +60,19 @@ struct FrameSimOptions {
   /// the run to this file as JSONL (schema mcm.trace/v1). Empty = no
   /// tracing; the only per-command cost is a null-pointer check.
   std::string trace_path;
-  std::size_t trace_buffer_events = 4096;
 
   /// When set, the memory system's full metric catalogue is published here
   /// after the run (per-channel, per-bank, interleaver, residency).
   obs::MetricsRegistry* metrics = nullptr;
 
-  /// Self-profiling (obs/prof). `profile` force-enables the process-wide
-  /// profiler for this run (MCM_PROF=1 in the environment does the same for
-  /// every run). When prof_path is non-empty the accumulated profile is
-  /// collected - and the global profiler reset - after the run and written
-  /// there as mcm.prof/v1 JSON; prof_trace_path additionally writes a
-  /// Chrome/Perfetto trace_events file. Profiling observes the host clock
-  /// only and never alters simulated results.
-  bool profile = false;
+  /// Self-profiling (obs/prof), on when MCM_PROF=1 or after
+  /// obs::prof::set_enabled(true). When prof_path is non-empty the
+  /// accumulated profile is collected - and the global profiler reset -
+  /// after the run and written there as mcm.prof/v1 JSON with its spans
+  /// embedded (`mcm_prof trace` turns it into a Chrome/Perfetto file).
+  /// Profiling observes the host clock only and never alters simulated
+  /// results.
   std::string prof_path;
-  std::string prof_trace_path;
 
   /// The one home of the run's range rules: the first failing field, or
   /// nullopt. Every front end calls it, and so does run().

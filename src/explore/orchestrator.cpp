@@ -22,7 +22,6 @@ core::FrameSimOptions point_sim_options(const ExperimentSpec& spec,
   // Concurrent points must not each collect-and-reset the global profiler;
   // profile the whole exploration and collect once at the caller instead.
   opt.prof_path.clear();
-  opt.prof_trace_path.clear();
   return opt;
 }
 

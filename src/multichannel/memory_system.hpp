@@ -146,18 +146,12 @@ class MemorySystem {
   [[nodiscard]] const channel::Channel& channel(std::uint32_t i) const {
     return channels_[i];
   }
-  [[nodiscard]] const Interleaver& interleaver() const { return interleaver_; }
 
   /// Total byte capacity across channels.
   [[nodiscard]] std::uint64_t capacity_bytes() const;
 
   /// Aggregate peak data bandwidth (bytes/s).
   [[nodiscard]] double peak_bandwidth_bytes_per_s() const;
-
-  /// Which channel a global byte address routes to.
-  [[nodiscard]] std::uint32_t channel_of(std::uint64_t global_addr) const {
-    return interleaver_.route(global_addr).channel;
-  }
 
   /// Route `r` (global address) to its channel and admit it by the
   /// threshold rule above; books the route count. Kept in the header so the

@@ -3,8 +3,7 @@
 // the *simulated* quantities in obs/metrics. Recording is off by default;
 // the cost of a disabled instrumentation point is one relaxed atomic load
 // and a predictable branch. Enable process-wide with MCM_PROF=1 or at
-// runtime with prof::set_enabled(true) (FrameSimOptions::profile does this
-// for one run).
+// runtime with prof::set_enabled(true).
 //
 // Model:
 //  - A *phase* is an interned hierarchical name ("engine/feed",

@@ -1,7 +1,8 @@
 // Bit-identity of the row-hit streaming fast path: a controller with
 // stream_row_hits on must be externally indistinguishable from one with it
 // off - every completion, the horizon after every completion, all counters,
-// both histograms, the energy ledger, and the full command trace. The
+// both histograms, the energy ledger, and the full trace event sequence
+// (every command edge and every request span). The
 // traffic below deliberately mixes the run-friendly pattern (long
 // same-row/same-direction bursts) with everything that must terminate a
 // run: direction flips, row conflicts, bank jumps, future arrivals (idle
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "controller/memory_controller.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
@@ -97,8 +99,27 @@ void expect_same_histogram(const Histogram& a, const Histogram& b) {
   ASSERT_EQ(a.summary().max(), b.summary().max());
 }
 
+// Field by field, whatever the kind: unused fields stay at their defaults.
+void expect_same_event(const obs::TraceEvent& a, const obs::TraceEvent& b,
+                       std::size_t i) {
+  ASSERT_EQ(a.kind, b.kind) << "event " << i;
+  ASSERT_EQ(a.cmd, b.cmd) << "event " << i;
+  ASSERT_EQ(a.is_write, b.is_write) << "event " << i;
+  ASSERT_EQ(a.row_hit, b.row_hit) << "event " << i;
+  ASSERT_EQ(a.channel, b.channel) << "event " << i;
+  ASSERT_EQ(a.bank, b.bank) << "event " << i;
+  ASSERT_EQ(a.row, b.row) << "event " << i;
+  ASSERT_EQ(a.at.ps(), b.at.ps()) << "event " << i;
+  ASSERT_EQ(a.arrival.ps(), b.arrival.ps()) << "event " << i;
+  ASSERT_EQ(a.first_cmd.ps(), b.first_cmd.ps()) << "event " << i;
+  ASSERT_EQ(a.done.ps(), b.done.ps()) << "event " << i;
+  ASSERT_EQ(a.addr, b.addr) << "event " << i;
+}
+
 void expect_same_state(const MemoryController& fast,
-                       const MemoryController& slow) {
+                       const MemoryController& slow,
+                       const obs::TraceSpool& fast_events,
+                       const obs::TraceSpool& slow_events) {
   const ControllerStats& a = fast.stats();
   const ControllerStats& b = slow.stats();
   EXPECT_EQ(a.reads, b.reads);
@@ -127,15 +148,11 @@ void expect_same_state(const MemoryController& fast,
   EXPECT_EQ(la.t_powerdown.ps(), lb.t_powerdown.ps());
   EXPECT_EQ(la.t_selfrefresh.ps(), lb.t_selfrefresh.ps());
 
-  const auto& ta = fast.trace();
-  const auto& tb = slow.trace();
+  const auto& ta = fast_events.events();
+  const auto& tb = slow_events.events();
+  ASSERT_GT(ta.size(), 0u);
   ASSERT_EQ(ta.size(), tb.size());
-  for (std::size_t i = 0; i < ta.size(); ++i) {
-    ASSERT_EQ(ta[i].at.ps(), tb[i].at.ps()) << "command " << i;
-    ASSERT_EQ(ta[i].cmd, tb[i].cmd) << "command " << i;
-    ASSERT_EQ(ta[i].bank, tb[i].bank) << "command " << i;
-    ASSERT_EQ(ta[i].row, tb[i].row) << "command " << i;
-  }
+  for (std::size_t i = 0; i < ta.size(); ++i) expect_same_event(ta[i], tb[i], i);
 
   EXPECT_EQ(fast.bank_accesses(), slow.bank_accesses());
 }
@@ -146,13 +163,16 @@ void run_equivalence(ControllerConfig cfg, std::uint64_t seed,
                      std::size_t n = 3000) {
   const dram::DeviceSpec spec = dram::DeviceSpec::next_gen_mobile_ddr();
   const Frequency freq{400.0};
-  cfg.record_trace = true;
   ControllerConfig on = cfg;
   on.stream_row_hits = true;
   ControllerConfig off = cfg;
   off.stream_row_hits = false;
   MemoryController fast(spec, freq, AddressMux::kRBC, on);
   MemoryController slow(spec, freq, AddressMux::kRBC, off);
+  obs::TraceSpool fast_events;
+  obs::TraceSpool slow_events;
+  fast.set_trace_sink(&fast_events, 0);
+  slow.set_trace_sink(&slow_events, 0);
 
   const std::vector<Request> reqs = make_traffic(spec, seed, n);
   std::size_t served = 0;
@@ -176,7 +196,7 @@ void run_equivalence(ControllerConfig cfg, std::uint64_t seed,
   const Time end = fast.horizon() + Time::from_ns(1e6);
   fast.finalize(end);
   slow.finalize(end);
-  expect_same_state(fast, slow);
+  expect_same_state(fast, slow, fast_events, slow_events);
   EXPECT_EQ(fast.horizon().ps(), slow.horizon().ps());
 }
 

@@ -5,10 +5,12 @@
 // command trace.
 #include <gtest/gtest.h>
 
+#include "command_log.hpp"
 #include "common/rng.hpp"
 #include "controller/memory_controller.hpp"
 #include "dram/energy.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
@@ -20,7 +22,6 @@ TEST_P(InvariantFuzz, ControllerPreservesInvariants) {
 
   // Random configuration.
   ControllerConfig cfg;
-  cfg.record_trace = true;
   cfg.page_policy = static_cast<PagePolicy>(rng.next_below(3));
   cfg.page_timeout_cycles = 32 + static_cast<std::uint32_t>(rng.next_below(512));
   cfg.scheduler = rng.next_below(2) == 0 ? SchedulerPolicy::kFcfs
@@ -36,6 +37,8 @@ TEST_P(InvariantFuzz, ControllerPreservesInvariants) {
 
   const auto spec = dram::DeviceSpec::next_gen_mobile_ddr();
   MemoryController mc(spec, Frequency{freq}, mux, cfg);
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
 
   // Random arrival process: bursty sequential runs with random jumps and
   // idle gaps of wildly different lengths.
@@ -100,7 +103,9 @@ TEST_P(InvariantFuzz, ControllerPreservesInvariants) {
 
   // The full command trace obeys the DRAM protocol.
   dram::TimingChecker checker(spec.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations.front())

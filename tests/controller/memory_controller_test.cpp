@@ -2,16 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include "command_log.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
 
 class MemoryControllerTest : public ::testing::Test {
  protected:
-  MemoryControllerTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {
-    cfg_.record_trace = true;
-  }
+  MemoryControllerTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {}
 
   MemoryController make(Frequency f = Frequency{400.0},
                         AddressMux mux = AddressMux::kRBC) {
@@ -85,6 +85,8 @@ TEST_F(MemoryControllerTest, RowConflictCostsPrechargeActivate) {
 
 TEST_F(MemoryControllerTest, CommandTracePassesIndependentChecker) {
   auto mc = make();
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   // Mixed traffic: sequential runs, bank conflicts, read/write interleave.
   std::uint64_t a = 0;
   for (int i = 0; i < 400; ++i) {
@@ -96,7 +98,9 @@ TEST_F(MemoryControllerTest, CommandTracePassesIndependentChecker) {
   }
   mc.finalize(mc.horizon() + Time::from_us(100.0));
   dram::TimingChecker checker(spec_.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations.front());
@@ -109,9 +113,10 @@ TEST_P(CheckerSweep, TracesLegalAcrossConfigs) {
   const auto [freq, mux, page] = GetParam();
   const dram::DeviceSpec spec = dram::DeviceSpec::next_gen_mobile_ddr();
   ControllerConfig cfg;
-  cfg.record_trace = true;
   cfg.page_policy = page;
   MemoryController mc(spec, Frequency{freq}, mux, cfg);
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   std::uint64_t a = 0;
   for (int i = 0; i < 300; ++i) {
     mc.enqueue(Request{a, (i % 4) == 1, Time::zero(), 0});
@@ -120,7 +125,9 @@ TEST_P(CheckerSweep, TracesLegalAcrossConfigs) {
   }
   mc.finalize(mc.horizon() + Time::from_us(50.0));
   dram::TimingChecker checker(spec.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations.front());

@@ -2,17 +2,17 @@
 // extension.
 #include <gtest/gtest.h>
 
+#include "command_log.hpp"
 #include "controller/memory_controller.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
 
 class PagePolicyTest : public ::testing::Test {
  protected:
-  PagePolicyTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {
-    cfg_.record_trace = true;
-  }
+  PagePolicyTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {}
 
   MemoryController make(PagePolicy policy, std::uint32_t timeout = 512) {
     cfg_.page_policy = policy;
@@ -59,6 +59,8 @@ TEST_F(PagePolicyTest, OpenPolicyHitsAfterLongIdle) {
 
 TEST_F(PagePolicyTest, TimeoutTraceLegal) {
   auto mc = make(PagePolicy::kTimeout, 64);
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   const auto& d = mc.timing();
   Time arrival = Time::zero();
   for (int i = 0; i < 60; ++i) {
@@ -69,7 +71,9 @@ TEST_F(PagePolicyTest, TimeoutTraceLegal) {
   }
   mc.finalize(mc.horizon() + Time::from_us(20.0));
   dram::TimingChecker checker(spec_.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front());
 }

@@ -3,17 +3,17 @@
 #include <gtest/gtest.h>
 
 #include "channel/channel.hpp"
+#include "command_log.hpp"
 #include "controller/memory_controller.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
 
 class RefreshPostponeTest : public ::testing::Test {
  protected:
-  RefreshPostponeTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {
-    cfg_.record_trace = true;
-  }
+  RefreshPostponeTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {}
 
   MemoryController make(std::uint32_t postpone) {
     cfg_.refresh_postpone_max = postpone;
@@ -76,10 +76,14 @@ TEST_F(RefreshPostponeTest, DebtRepaidInIdleGap) {
 
 TEST_F(RefreshPostponeTest, PostponedTraceStillLegal) {
   auto mc = make(8);
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   stream(mc, 5);
   mc.finalize(mc.horizon() + Time::from_us(50.0));
   dram::TimingChecker checker(spec_.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front());
 }

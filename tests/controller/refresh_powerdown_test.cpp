@@ -1,16 +1,16 @@
 #include <gtest/gtest.h>
 
+#include "command_log.hpp"
 #include "controller/memory_controller.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
 
 class RefreshPowerDownTest : public ::testing::Test {
  protected:
-  RefreshPowerDownTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {
-    cfg_.record_trace = true;
-  }
+  RefreshPowerDownTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {}
 
   MemoryController make() {
     return MemoryController(spec_, Frequency{400.0}, AddressMux::kRBC, cfg_);
@@ -95,6 +95,8 @@ TEST_F(RefreshPowerDownTest, GapBetweenRequestsUsesPowerDown) {
 
 TEST_F(RefreshPowerDownTest, TraceWithIdleGapsPassesChecker) {
   auto mc = make();
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   Time arrival = Time::zero();
   std::uint64_t a = 0;
   for (int i = 0; i < 50; ++i) {
@@ -105,7 +107,9 @@ TEST_F(RefreshPowerDownTest, TraceWithIdleGapsPassesChecker) {
   }
   mc.finalize(arrival + Time::from_us(200.0));
   dram::TimingChecker checker(spec_.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations.front());

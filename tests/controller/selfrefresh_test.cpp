@@ -3,8 +3,10 @@
 // pay tXSR on exit.
 #include <gtest/gtest.h>
 
+#include "command_log.hpp"
 #include "controller/memory_controller.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::ctrl {
 namespace {
@@ -12,7 +14,6 @@ namespace {
 class SelfRefreshTest : public ::testing::Test {
  protected:
   SelfRefreshTest() : spec_(dram::DeviceSpec::next_gen_mobile_ddr()) {
-    cfg_.record_trace = true;
     cfg_.selfrefresh_idle_cycles = 64;
   }
 
@@ -76,11 +77,15 @@ TEST_F(SelfRefreshTest, WakePaysTxsr) {
 
 TEST_F(SelfRefreshTest, TraceWithSelfRefreshPassesChecker) {
   auto mc = make();
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   mc.enqueue(Request{0, false, Time::zero(), 0});
   (void)mc.process_one();
   mc.finalize(Time::from_ms(10.0));
   dram::TimingChecker checker(spec_.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << violations.size() << " violations, first: "
       << (violations.empty() ? "" : violations.front());
@@ -88,6 +93,8 @@ TEST_F(SelfRefreshTest, TraceWithSelfRefreshPassesChecker) {
 
 TEST_F(SelfRefreshTest, MidRunGapClosesRowsAndSelfRefreshes) {
   auto mc = make();
+  obs::TraceSpool spool;
+  mc.set_trace_sink(&spool, 0);
   mc.enqueue(Request{0, false, Time::zero(), 0});
   (void)mc.process_one();
   // Rows are open; the governor precharges them and self-refreshes through
@@ -101,7 +108,9 @@ TEST_F(SelfRefreshTest, MidRunGapClosesRowsAndSelfRefreshes) {
   // The command trace (PRE + SRE/SRX + wake) is still protocol legal.
   mc.finalize(Time::from_ms(3.0));
   dram::TimingChecker checker(spec_.org, mc.timing());
-  const auto violations = checker.check(mc.trace());
+  const auto commands = test::command_log(spool);
+  ASSERT_GT(commands.size(), 0u);
+  const auto violations = checker.check(commands);
   EXPECT_TRUE(violations.empty())
       << (violations.empty() ? "" : violations.front());
 }

@@ -3,10 +3,14 @@
 // DRAM command trace, plus bit-exact determinism guarantees.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "command_log.hpp"
 #include "core/experiments.hpp"
 #include "dram/timing_checker.hpp"
 #include "load/usecase_sources.hpp"
 #include "multichannel/memory_system.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::core {
 namespace {
@@ -29,42 +33,51 @@ Time drive_usecase(multichannel::MemorySystem& sys, std::size_t max_bursts,
   return sys.drain();
 }
 
-TEST(Integration, FullStackCommandTracesAreProtocolLegal) {
-  multichannel::SystemConfig cfg;
-  cfg.channels = 2;
-  cfg.controller.record_trace = true;
-  multichannel::MemorySystem sys(cfg);
-  const Time last = drive_usecase(sys, 200'000);
-  ASSERT_GT(last, Time::zero());
-  sys.finalize(last + Time::from_ms(1.0));
+// One spool per channel, attached before any traffic.
+std::vector<obs::TraceSpool> attach_spools(multichannel::MemorySystem& sys) {
+  std::vector<obs::TraceSpool> spools(sys.channel_count());
+  for (std::uint32_t ch = 0; ch < sys.channel_count(); ++ch) {
+    sys.attach_trace(&spools[ch], ch);
+  }
+  return spools;
+}
 
+// Re-validate every channel's recorded command stream.
+void expect_protocol_legal(const multichannel::MemorySystem& sys,
+                           const std::vector<obs::TraceSpool>& spools) {
   for (std::uint32_t ch = 0; ch < sys.channel_count(); ++ch) {
     const auto& mc = sys.channel(ch).controller();
-    dram::TimingChecker checker(cfg.device.org, mc.timing());
-    const auto violations = checker.check(mc.trace());
+    const auto commands = test::command_log(spools[ch]);
+    ASSERT_GT(commands.size(), 0u) << "channel " << ch;
+    dram::TimingChecker checker(mc.device().org, mc.timing());
+    const auto violations = checker.check(commands);
     EXPECT_TRUE(violations.empty())
         << "channel " << ch << ": " << violations.size()
         << " violations, first: " << (violations.empty() ? "" : violations.front());
   }
 }
 
+TEST(Integration, FullStackCommandTracesAreProtocolLegal) {
+  multichannel::SystemConfig cfg;
+  cfg.channels = 2;
+  multichannel::MemorySystem sys(cfg);
+  const auto spools = attach_spools(sys);
+  const Time last = drive_usecase(sys, 200'000);
+  ASSERT_GT(last, Time::zero());
+  sys.finalize(last + Time::from_ms(1.0));
+  expect_protocol_legal(sys, spools);
+}
+
 TEST(Integration, MotionWindowTracesAreProtocolLegal) {
   multichannel::SystemConfig cfg;
   cfg.channels = 2;
-  cfg.controller.record_trace = true;
   load::LoadOptions opt;
   opt.motion_window_encoder = true;
   multichannel::MemorySystem sys(cfg);
+  const auto spools = attach_spools(sys);
   const Time last = drive_usecase(sys, 150'000, opt);
   sys.finalize(last + Time::from_us(100.0));
-  for (std::uint32_t ch = 0; ch < sys.channel_count(); ++ch) {
-    const auto& mc = sys.channel(ch).controller();
-    dram::TimingChecker checker(cfg.device.org, mc.timing());
-    const auto violations = checker.check(mc.trace());
-    EXPECT_TRUE(violations.empty())
-        << "channel " << ch << ": "
-        << (violations.empty() ? "" : violations.front());
-  }
+  expect_protocol_legal(sys, spools);
 }
 
 TEST(Integration, SimulationIsBitExactDeterministic) {
@@ -80,15 +93,55 @@ TEST(Integration, SimulationIsBitExactDeterministic) {
 }
 
 TEST(Integration, ResultsIndependentOfTraceRecording) {
-  // Observability must not perturb timing.
-  auto cfg = ExperimentConfig::paper_defaults();
-  cfg.base.channels = 2;
-  auto with = cfg.base;
-  with.controller.record_trace = true;
-  const auto a = FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
-  const auto b = FrameSimulator(cfg.sim).run(with, cfg.usecase);
-  EXPECT_EQ(a.access_time, b.access_time);
-  EXPECT_DOUBLE_EQ(a.total_power_mw, b.total_power_mw);
+  // Observability must not perturb timing or energy: the same traffic with
+  // and without spools attached ends in identical books.
+  multichannel::SystemConfig cfg;
+  cfg.channels = 2;
+  multichannel::MemorySystem plain(cfg);
+  multichannel::MemorySystem traced(cfg);
+  const auto spools = attach_spools(traced);
+  const Time last_plain = drive_usecase(plain, 200'000);
+  const Time last_traced = drive_usecase(traced, 200'000);
+  ASSERT_EQ(last_plain, last_traced);
+  const Time end = last_plain + Time::from_ms(1.0);
+  plain.finalize(end);
+  traced.finalize(end);
+  ASSERT_GT(spools[0].events_recorded(), 0u);
+
+  const multichannel::SystemStats a = plain.stats();
+  const multichannel::SystemStats b = traced.stats();
+  EXPECT_EQ(a.reads, b.reads);
+  EXPECT_EQ(a.writes, b.writes);
+  EXPECT_EQ(a.bytes, b.bytes);
+  EXPECT_EQ(a.row_hits, b.row_hits);
+  EXPECT_EQ(a.row_misses, b.row_misses);
+  EXPECT_EQ(a.row_conflicts, b.row_conflicts);
+  EXPECT_EQ(a.activates, b.activates);
+  EXPECT_EQ(a.precharges, b.precharges);
+  EXPECT_EQ(a.refreshes, b.refreshes);
+  EXPECT_EQ(a.powerdown_entries, b.powerdown_entries);
+  EXPECT_EQ(a.selfrefresh_entries, b.selfrefresh_entries);
+  EXPECT_EQ(a.latency_ns.count(), b.latency_ns.count());
+  EXPECT_EQ(a.latency_ns.mean(), b.latency_ns.mean());
+  EXPECT_EQ(a.latency_ns.max(), b.latency_ns.max());
+
+  for (std::uint32_t ch = 0; ch < cfg.channels; ++ch) {
+    const dram::EnergyLedger& la = plain.channel(ch).controller().ledger();
+    const dram::EnergyLedger& lb = traced.channel(ch).controller().ledger();
+    EXPECT_EQ(la.n_act, lb.n_act) << "channel " << ch;
+    EXPECT_EQ(la.n_rd, lb.n_rd) << "channel " << ch;
+    EXPECT_EQ(la.n_wr, lb.n_wr) << "channel " << ch;
+    EXPECT_EQ(la.n_ref, lb.n_ref) << "channel " << ch;
+    EXPECT_EQ(la.t_active_standby, lb.t_active_standby) << "channel " << ch;
+    EXPECT_EQ(la.t_precharge_standby, lb.t_precharge_standby) << "channel " << ch;
+    EXPECT_EQ(la.t_active_powerdown, lb.t_active_powerdown) << "channel " << ch;
+    EXPECT_EQ(la.t_powerdown, lb.t_powerdown) << "channel " << ch;
+    EXPECT_EQ(la.t_selfrefresh, lb.t_selfrefresh) << "channel " << ch;
+  }
+  const multichannel::SystemPowerReport pa = plain.power(end);
+  const multichannel::SystemPowerReport pb = traced.power(end);
+  EXPECT_EQ(pa.dram.total_pj(), pb.dram.total_pj());
+  EXPECT_EQ(pa.total_mw, pb.total_mw);
 }
 
 TEST(Integration, EnergyConservation) {
@@ -126,7 +179,6 @@ TEST(Integration, AlternativeDevicesEndToEndAndProtocolLegal) {
     cfg.freq = Frequency{c.freq};
     cfg.channels = 2;
     cfg.interleave_bytes = c.interleave;
-    cfg.controller.record_trace = true;
     cfg.controller.queue_depth = 8;
 
     video::UseCaseParams uc;
@@ -143,18 +195,11 @@ TEST(Integration, AlternativeDevicesEndToEndAndProtocolLegal) {
   multichannel::SystemConfig cfg;
   cfg.device = dram::DeviceSpec::eight_bank_future();
   cfg.channels = 2;
-  cfg.controller.record_trace = true;
   multichannel::MemorySystem sys(cfg);
+  const auto spools = attach_spools(sys);
   const Time last = drive_usecase(sys, 100'000);
   sys.finalize(last + Time::from_ms(1.0));
-  for (std::uint32_t ch = 0; ch < sys.channel_count(); ++ch) {
-    const auto& mc = sys.channel(ch).controller();
-    dram::TimingChecker checker(cfg.device.org, mc.timing());
-    const auto violations = checker.check(mc.trace());
-    EXPECT_TRUE(violations.empty())
-        << "channel " << ch << ": "
-        << (violations.empty() ? "" : violations.front());
-  }
+  expect_protocol_legal(sys, spools);
 }
 
 TEST(Integration, EightChannel2160pEndToEnd) {

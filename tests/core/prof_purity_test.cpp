@@ -4,6 +4,8 @@
 // means instrumentation leaked into simulation state.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "core/experiments.hpp"
@@ -15,11 +17,16 @@
 namespace mcm::core {
 namespace {
 
-std::string run_exported(bool profile) {
+ExperimentConfig small_point() {
   ExperimentConfig cfg = ExperimentConfig::paper_defaults();
   cfg.usecase.level = video::H264Level::k31;
   cfg.base.channels = 4;
-  cfg.sim.profile = profile;
+  return cfg;
+}
+
+std::string run_exported(bool profile) {
+  obs::prof::set_enabled(profile);
+  const ExperimentConfig cfg = small_point();
   const FrameSimResult result = FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
   obs::JsonValue root = obs::JsonValue::object();
   export_config(root["config"], cfg.base, cfg.usecase);
@@ -31,8 +38,8 @@ class ProfPurityTest : public ::testing::Test {
  protected:
   void SetUp() override { (void)obs::prof::collect(/*reset=*/true); }
   void TearDown() override {
-    // FrameSimOptions::profile latches the global enable; clear it so later
-    // tests in this binary run unprofiled.
+    // The profiler switch is process-wide; clear it so later tests in this
+    // binary run unprofiled.
     obs::prof::set_enabled(false);
     (void)obs::prof::collect(/*reset=*/true);
   }
@@ -40,7 +47,6 @@ class ProfPurityTest : public ::testing::Test {
 
 TEST_F(ProfPurityTest, ReportByteIdenticalSingleWorker) {
   const std::string off = run_exported(false);
-  obs::prof::set_enabled(false);
   (void)obs::prof::collect(true);
   const std::string on = run_exported(true);
   EXPECT_EQ(off, on);
@@ -49,6 +55,27 @@ TEST_F(ProfPurityTest, ReportByteIdenticalSingleWorker) {
   EXPECT_NE(rep.find("sim/run"), nullptr);
   EXPECT_NE(rep.find("engine/feed"), nullptr);
   EXPECT_NE(rep.find("engine/retired"), nullptr);
+}
+
+TEST_F(ProfPurityTest, ProfPathWritesLoadableProfileWithSpans) {
+  // prof_path is the one writer of mcm.prof/v1; `mcm_prof trace` builds the
+  // Chrome trace from the spans embedded in it.
+  obs::prof::set_enabled(true);
+  ExperimentConfig cfg = small_point();
+  cfg.sim.prof_path = ::testing::TempDir() + "prof_purity.prof.json";
+  (void)FrameSimulator(cfg.sim).run(cfg.base, cfg.usecase);
+
+  std::ifstream in(cfg.sim.prof_path);
+  ASSERT_TRUE(in) << cfg.sim.prof_path;
+  std::stringstream text;
+  text << in.rdbuf();
+  const std::optional<obs::JsonValue> doc = obs::json_parse(text.str());
+  ASSERT_TRUE(doc.has_value());
+  obs::prof::ProfileReport rep;
+  ASSERT_TRUE(obs::prof::profile_from_json(*doc, rep));
+  EXPECT_NE(rep.find("sim/run"), nullptr);
+  EXPECT_NE(rep.find("engine/feed"), nullptr);
+  EXPECT_FALSE(rep.spans.empty());
 }
 
 }  // namespace

@@ -3,8 +3,10 @@
 // checker to notice. Guards against the checker silently passing everything.
 #include <gtest/gtest.h>
 
+#include "command_log.hpp"
 #include "controller/memory_controller.hpp"
 #include "dram/timing_checker.hpp"
+#include "obs/trace.hpp"
 
 namespace mcm::dram {
 namespace {
@@ -15,9 +17,10 @@ class CheckerMutation : public ::testing::Test {
 
   /// A known-legal mixed trace from the real controller.
   std::vector<CommandRecord> legal_trace() {
-    ctrl::ControllerConfig cfg;
-    cfg.record_trace = true;
-    ctrl::MemoryController mc(spec_, Frequency{400.0}, ctrl::AddressMux::kRBC, cfg);
+    ctrl::MemoryController mc(spec_, Frequency{400.0}, ctrl::AddressMux::kRBC,
+                              ctrl::ControllerConfig{});
+    obs::TraceSpool spool;
+    mc.set_trace_sink(&spool, 0);
     std::uint64_t a = 0;
     for (int i = 0; i < 200; ++i) {
       const std::uint64_t addr = (i % 9 == 0) ? a + 8ull * 1024 * 1024 : a;
@@ -26,7 +29,9 @@ class CheckerMutation : public ::testing::Test {
       a += 16;
     }
     mc.finalize(mc.horizon() + Time::from_us(20.0));
-    return mc.trace();
+    std::vector<CommandRecord> trace = test::command_log(spool);
+    EXPECT_GT(trace.size(), 0u);
+    return trace;
   }
 
   TimingChecker checker() {

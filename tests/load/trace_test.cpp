@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/rng.hpp"
+#include "load/encoder_pattern_source.hpp"
 #include "load/multi_stream_source.hpp"
 #include "load/usecase_sources.hpp"
 #include "multichannel/memory_system.hpp"
@@ -203,13 +204,25 @@ TEST(Trace, ReplayPacingSpreadsZeroSpanTracesByIndex) {
 }
 
 TEST(Trace, UnsupportedPacingWarnsAndLeavesArrivalsAlone) {
-  // MultiStreamSource does not override set_pacing: the base class logs a
-  // one-shot warning (satellite fix for the silent no-op) and arrivals stay
-  // at the stage start.
-  MultiStreamSource src("s", {{0x100, 64, 0, false, 7}});
+  // EncoderPatternSource does not override set_pacing: the base class logs a
+  // one-shot warning and every arrival stays at the stage start, however
+  // far the source advances.
+  video::EncoderAccessParams p;
+  p.resolution = video::k720p;
+  p.ref_frames = 1;
+  p.ref_base = 1ull << 24;
+  p.recon_base = 1ull << 27;
+  p.max_macroblocks = 4;
+  EncoderPatternSource src("enc", p);
+  const Time start = Time::from_us(3.0);
+  src.set_start(start);
   src.set_pacing(Time{1'000'000});
   src.set_pacing(Time{2'000'000});  // second call must not warn again
-  EXPECT_EQ(src.head().arrival, Time::zero());
+  int checked = 0;
+  for (; !src.done() && checked < 64; src.advance(), ++checked) {
+    ASSERT_EQ(src.head().arrival, start) << "request " << checked;
+  }
+  EXPECT_EQ(checked, 64);
 }
 
 }  // namespace
