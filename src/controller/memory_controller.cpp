@@ -57,7 +57,7 @@ Time MemoryController::issue_edge(Time t) {
 
 void MemoryController::close_row(Time tp, std::uint32_t b) {
   cluster_.precharge(tp, b, d_);
-  queue_.mark_rows_stale();
+  queue_.mark_rows_stale(b);
   ++stats_.precharges;
   record(tp, dram::Command::kPrecharge, b);
 }
@@ -438,7 +438,7 @@ Completion MemoryController::process_one_slow() {
     }
     const Time ta = issue_edge(max(t, cluster_.earliest_activate(da.bank)));
     cluster_.activate(ta, da.bank, da.row, d_);
-    queue_.mark_rows_stale();
+    queue_.mark_rows_stale(da.bank);
     ++stats_.activates;
     ++pend_.n_act;
     record(ta, dram::Command::kActivate, da.bank, da.row);

@@ -23,10 +23,12 @@
 // Hit bits are re-derived lazily. The queue mirrors, per bank, the open row
 // its bits currently reflect (hit_rows_), and every live slot's hit bit
 // equals (hit_rows_[bank] == row): a push seeds its bit from the mirror.
-// ACT and PRE only mark the rows stale (mark_rows_stale()); sync_rows() then
-// re-derives, once, only the banks whose open row now differs from the
-// mirror, before anything reads a hit bit. A closed-page ACT+PRE returns the
-// bank to the mirrored row and costs no pass; a conflict's PRE+ACT costs one.
+// ACT and PRE only mark their bank stale (mark_rows_stale(bank), one bit of
+// a per-bank mask); sync_rows() then compares only the marked banks with the
+// mirror and re-derives, once, those whose open row now differs, before
+// anything reads a hit bit. A closed-page ACT+PRE returns the bank to the
+// mirrored row and costs one comparison, no pass; a conflict's PRE+ACT
+// costs one pass.
 //
 // Two more summaries let the common closed-page pick skip the scan
 // (no_hit_pick()): the number of banks open in the mirror, kept on the
@@ -43,6 +45,7 @@
 // queue every issue slot.
 #pragma once
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 #include <limits>
@@ -87,7 +90,7 @@ class RequestQueue {
   };
 
   /// `banks` sizes the per-bank open-row mirror; every pushed bank id must
-  /// be below it.
+  /// be below it, and it may not exceed the stale mask's 64 bits.
   RequestQueue(std::size_t capacity, std::uint32_t banks)
       : slots_(capacity),
         arrival_ps_(capacity, kFreeArrival),
@@ -95,6 +98,7 @@ class RequestQueue {
         inv_seq_(capacity, 0),
         bank_row_(capacity, -1),
         hit_rows_(banks, kNoRow) {
+    assert(banks <= 64);
     free_.reserve(capacity);
     // Free slots popped back-to-front so the first pushes take slots 0, 1, ...
     for (std::size_t i = capacity; i > 0; --i) {
@@ -122,7 +126,7 @@ class RequestQueue {
   }
 
   [[nodiscard]] QueueLanes lanes() const {
-    assert(!rows_stale_);
+    assert(stale_banks_ == 0);
     return QueueLanes{arrival_ps_.data(), hit_write_.data(), inv_seq_.data(),
                       static_cast<std::uint32_t>(slots_.size())};
   }
@@ -134,7 +138,7 @@ class RequestQueue {
 
   /// Raw hit|write lane value for a slot (kHitBit | kWriteBit composition).
   [[nodiscard]] std::int64_t hit_write(std::uint32_t slot) const {
-    assert(!rows_stale_);
+    assert(stale_banks_ == 0);
     return hit_write_[slot];
   }
 
@@ -211,16 +215,19 @@ class RequestQueue {
     return e;
   }
 
-  /// Note that some bank's open row changed (ACT or PRE). The hit bits stay
+  /// Note that `bank`'s open row changed (ACT or PRE). The hit bits stay
   /// as they are until sync_rows(); nothing may read them before that.
-  void mark_rows_stale() { rows_stale_ = true; }
+  void mark_rows_stale(std::uint32_t bank) {
+    assert(bank < hit_rows_.size());
+    stale_banks_ |= std::uint64_t{1} << bank;
+  }
 
-  /// Re-derive the hit bits of every bank whose open row (`open_rows`, the
-  /// bank cluster's lane) differs from the row its bits reflect. One pass
-  /// over the bank_row lane per such bank; nothing when no row changed
-  /// since the last sync.
+  /// Re-derive the hit bits of every marked bank whose open row
+  /// (`open_rows`, the bank cluster's lane) differs from the row its bits
+  /// reflect. One pass over the bank_row lane per such bank; nothing when
+  /// no bank was marked since the last sync.
   void sync_rows(const std::int64_t* open_rows) {
-    if (rows_stale_) [[unlikely]] resync(open_rows);
+    if (stale_banks_ != 0) [[unlikely]] resync(open_rows);
   }
 
   /// The FR-FCFS winner without a scan when every bank is closed (so no
@@ -233,7 +240,7 @@ class RequestQueue {
   /// slot.
   [[nodiscard]] std::uint32_t no_hit_pick(std::int64_t horizon_ps,
                                           std::int64_t dir) const {
-    assert(!rows_stale_);
+    assert(stale_banks_ == 0);
     if (open_banks_ != 0 || max_arrival_ > horizon_ps) return kNil;
     if (dir >= 0) {
       for (std::uint32_t s = head_; s != kNil; s = slots_[s].next) {
@@ -258,11 +265,11 @@ class RequestQueue {
   // Out of line: rare next to the sync check, which inlines into the
   // controller's process_one().
   [[gnu::noinline]] void resync(const std::int64_t* open_rows) {
-    const std::uint32_t banks = static_cast<std::uint32_t>(hit_rows_.size());
-    for (std::uint32_t b = 0; b < banks; ++b) {
+    for (std::uint64_t m = stale_banks_; m != 0; m &= m - 1) {
+      const auto b = static_cast<std::uint32_t>(std::countr_zero(m));
       if (open_rows[b] != hit_rows_[b]) rederive(b, open_rows[b]);
     }
-    rows_stale_ = false;
+    stale_banks_ = 0;
   }
 
   /// Set every bank-`bank` slot's hit bit to (row == open_row) and record
@@ -311,7 +318,7 @@ class RequestQueue {
 
   std::vector<std::int64_t> hit_rows_;  // per bank: the row the bits reflect
   int open_banks_ = 0;                  // banks with hit_rows_ != kNoRow
-  bool rows_stale_ = false;             // an ACT/PRE since the last sync
+  std::uint64_t stale_banks_ = 0;       // bit b: ACT/PRE on b since the last sync
   std::int64_t max_arrival_ = kNoArrival;  // >= every live arrival
 };
 

@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <utility>
 #include <vector>
 
 #include "common/units.hpp"
@@ -117,6 +118,16 @@ class TraceSpool final : public TraceWriter {
     return events_;
   }
   [[nodiscard]] std::uint64_t events_recorded() const { return events_.size(); }
+
+  /// Make room for `n` events up front, so a caller that knows its event
+  /// count roughly does not pay for the vector's repeated regrowth.
+  void reserve(std::size_t n) { events_.reserve(n); }
+
+  /// Hand the recorded events over in emission order. The spool is empty
+  /// afterwards and keeps recording.
+  [[nodiscard]] std::vector<TraceEvent> take_events() {
+    return std::exchange(events_, {});
+  }
 
  private:
   std::vector<TraceEvent> events_;

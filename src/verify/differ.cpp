@@ -1,11 +1,15 @@
 #include "verify/differ.hpp"
 
+#include <cstring>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
+#include <utility>
 
 #include "core/sharded_engine.hpp"
 #include "dram/energy.hpp"
 #include "load/stream_cache.hpp"
+#include "multichannel/interleaver.hpp"
 #include "multichannel/memory_system.hpp"
 #include "obs/prof.hpp"
 
@@ -30,6 +34,22 @@ std::vector<load::CachedWorkload> build_workloads(const Scenario& s,
     out.push_back(std::move(wl));
   }
   return out;
+}
+
+/// Requests the interleaver routes to each channel, counted the way
+/// MemorySystem::push routes them.
+std::vector<std::uint64_t> routed_counts(const Scenario& s,
+                                         const multichannel::SystemConfig& cfg) {
+  const multichannel::Interleaver il(cfg.channels, cfg.interleave_bytes);
+  std::vector<std::uint64_t> counts(cfg.channels, 0);
+  for (const ScenarioFrame& f : s.frames) {
+    for (const ScenarioStage& st : f.stages) {
+      for (const std::uint64_t packed : st.reqs) {
+        ++counts[il.route(load::CachedStage::addr_of(packed)).channel];
+      }
+    }
+  }
+  return counts;
 }
 
 std::string describe_event(const obs::TraceEvent& e) {
@@ -79,6 +99,10 @@ bool report_vec(std::ostringstream& os, const char* name,
   return true;
 }
 
+static_assert(std::has_unique_object_representations_v<obs::TraceEvent>,
+              "TraceEvent gained padding: compare_outcomes' byte test would "
+              "always fall back to the field-wise walk");
+
 }  // namespace
 
 Outcome run_production(const Scenario& s) {
@@ -89,7 +113,9 @@ Outcome run_production(const Scenario& s) {
   multichannel::MemorySystem sys(cfg);
 
   std::vector<obs::TraceSpool> spools(sys.channel_count());
+  const std::vector<std::uint64_t> routed = routed_counts(s, cfg);
   for (std::uint32_t c = 0; c < sys.channel_count(); ++c) {
+    spools[c].reserve(event_reservation(routed[c]));
     sys.attach_trace(&spools[c], c);
   }
 
@@ -145,31 +171,31 @@ Outcome run_production(const Scenario& s) {
     co.t_selfrefresh_ps = led.t_selfrefresh.ps();
     co.route_count = sys.route_counts()[c];
     co.bank_accesses = ch.controller().bank_accesses();
-    co.events.assign(spools[c].events().begin(), spools[c].events().end());
+    co.events = spools[c].take_events();
     co.energy_total_pj = ch.energy_model().tally(led).total_pj();
     o.channels.push_back(std::move(co));
   }
   // Spools must outlive finalize (it emits trailing PRE/REF/PDE events), so
-  // events were copied only after finalize above.
+  // events were taken only after finalize above.
   for (std::uint32_t c = 0; c < sys.channel_count(); ++c) {
     sys.attach_trace(nullptr, c);
   }
   return o;
 }
 
-Outcome reference_outcome(const Scenario& s, const RefRunOutput& ref) {
+Outcome reference_outcome(const Scenario& s, RefRunOutput ref) {
   const multichannel::SystemConfig cfg = s.system_config();
 
   Outcome o;
   o.end_time_ps = ref.end_time_ps;
   o.window_ps = ref.window_ps;
-  o.per_frame_access_ps = ref.per_frame_access_ps;
-  o.stage_names = ref.stage_names;
-  o.stage_bytes = ref.stage_bytes;
-  o.stage_completed_ps = ref.stage_completed_ps;
+  o.per_frame_access_ps = std::move(ref.per_frame_access_ps);
+  o.stage_names = std::move(ref.stage_names);
+  o.stage_bytes = std::move(ref.stage_bytes);
+  o.stage_completed_ps = std::move(ref.stage_completed_ps);
   o.channels.reserve(ref.channels.size());
   for (std::size_t c = 0; c < ref.channels.size(); ++c) {
-    const RefChannelResult& rc = ref.channels[c];
+    RefChannelResult& rc = ref.channels[c];
     // Heterogeneous systems price each channel with its own class tables.
     const dram::DeviceSpec dev = cfg.channel_device(static_cast<std::uint32_t>(c));
     const dram::EnergyModel energy(
@@ -196,8 +222,8 @@ Outcome reference_outcome(const Scenario& s, const RefRunOutput& ref) {
     co.t_powerdown_ps = rc.t_powerdown_ps;
     co.t_selfrefresh_ps = rc.t_selfrefresh_ps;
     co.route_count = rc.route_count;
-    co.bank_accesses = rc.bank_accesses;
-    co.events = rc.events;
+    co.bank_accesses = std::move(rc.bank_accesses);
+    co.events = std::move(rc.events);
 
     dram::EnergyLedger led;
     led.n_act = rc.n_act;
@@ -231,6 +257,15 @@ std::optional<std::string> compare_outcomes(const Outcome& production,
   for (std::size_t c = 0; c < production.channels.size(); ++c) {
     const auto& pe = production.channels[c].events;
     const auto& re = reference.channels[c].events;
+    // Agreeing streams, the common case, are byte-equal: TraceEvent has no
+    // padding and both recorders leave every field they do not set at its
+    // default. Any byte difference takes the field-wise walk below, which
+    // finds the first diverging event or dismisses the difference.
+    if (pe.size() == re.size() &&
+        (pe.empty() || std::memcmp(pe.data(), re.data(),
+                                   pe.size() * sizeof(obs::TraceEvent)) == 0)) {
+      continue;
+    }
     const std::size_t n = pe.size() < re.size() ? pe.size() : re.size();
     for (std::size_t i = 0; i < n; ++i) {
       if (events_equal(pe[i], re[i])) continue;
@@ -251,9 +286,13 @@ std::optional<std::string> compare_outcomes(const Outcome& production,
   for (std::size_t c = 0; c < production.channels.size(); ++c) {
     const ChannelOutcome& p = production.channels[c];
     const ChannelOutcome& r = reference.channels[c];
-    os << "channel " << c << " ";
-#define MCM_VERIFY_FIELD(f) \
-  if (report_field(os, #f, p.f, r.f)) return os.str();
+    // The channel prefix is formatted only for a channel that differs.
+#define MCM_VERIFY_FIELD(f)         \
+  if (!(p.f == r.f)) {              \
+    os << "channel " << c << " ";   \
+    report_field(os, #f, p.f, r.f); \
+    return os.str();                \
+  }
     MCM_VERIFY_FIELD(reads)
     MCM_VERIFY_FIELD(writes)
     MCM_VERIFY_FIELD(row_hits)
@@ -277,10 +316,11 @@ std::optional<std::string> compare_outcomes(const Outcome& production,
     MCM_VERIFY_FIELD(route_count)
     MCM_VERIFY_FIELD(energy_total_pj)
 #undef MCM_VERIFY_FIELD
-    if (report_vec(os, "bank_accesses", p.bank_accesses, r.bank_accesses)) {
+    if (p.bank_accesses != r.bank_accesses) {
+      os << "channel " << c << " ";
+      report_vec(os, "bank_accesses", p.bank_accesses, r.bank_accesses);
       return os.str();
     }
-    os.str("");  // channel prefix unused: everything matched
   }
 
   if (report_field(os, "end_time_ps", production.end_time_ps,
@@ -325,7 +365,7 @@ std::optional<std::string> diff_scenario(const Scenario& s) {
     }
   }
   obs::prof::ScopedTimer span(kCompare);
-  return compare_outcomes(prod, reference_outcome(s, ref));
+  return compare_outcomes(prod, reference_outcome(s, std::move(ref)));
 }
 
 obs::JsonValue outcome_to_json(const Outcome& o) {

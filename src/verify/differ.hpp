@@ -63,12 +63,17 @@ struct Outcome {
 };
 
 /// Run the scenario through the production simulator. Throws whatever the
-/// production stack throws (bad config, engine assertion).
+/// production stack throws (bad config, engine assertion). Each channel's
+/// spool is sized from its routed request count (event_reservation), and
+/// the Outcome takes the spooled events over rather than copying them.
 [[nodiscard]] Outcome run_production(const Scenario& s);
 
 /// Reduce a reference run to the comparable Outcome shape (tallies energy
 /// with the production EnergyModel so identical ledgers give identical pJ).
-[[nodiscard]] Outcome reference_outcome(const Scenario& s, const RefRunOutput& ref);
+/// The Outcome owns what it reports: `ref`'s event and bank-access vectors
+/// move into it. Pass a temporary or std::move to avoid copying them; an
+/// lvalue argument is copied first and left as it was.
+[[nodiscard]] Outcome reference_outcome(const Scenario& s, RefRunOutput ref);
 
 /// First divergence between the two outcomes, or nullopt when they agree
 /// exactly. The string pinpoints the channel/event index/field.

@@ -10,8 +10,14 @@ namespace {
 
 using ctrl::Request;
 
-void check(bool cond, const char* what) {
-  if (!cond) throw std::logic_error(std::string("reference invariant violated: ") + what);
+[[noreturn, gnu::cold, gnu::noinline]] void fail(const char* what) {
+  throw std::logic_error(std::string("reference invariant violated: ") + what);
+}
+
+// Inline test, out-of-line throw: the model runs its checks on every
+// command and request, and only the comparison belongs on that path.
+inline void check(bool cond, const char* what) {
+  if (!cond) [[unlikely]] fail(what);
 }
 
 /// Plain reimplementation of the Table II stripe interleaving.
@@ -41,6 +47,13 @@ struct RefBank {
   Time last_use = Time::zero();
 };
 
+/// A queued request with its bank and row, decoded once at enqueue.
+struct RefQueued {
+  Request req;
+  std::uint32_t bank = 0;
+  std::uint32_t row = 0;
+};
+
 /// One channel of the reference system: front-end pacing + controller +
 /// bank cluster, all in one deliberately straightforward class.
 class RefChannel {
@@ -48,34 +61,22 @@ class RefChannel {
   // Each channel binds its own device class (timing + organization) and the
   // vault-adjusted interconnect; both come from the same SystemConfig
   // helpers the production MemorySystem constructs from, so the per-channel
-  // resolution itself is shared data, not duplicated logic.
+  // resolution itself is shared data, not duplicated logic. Each is
+  // resolved once and handed to the private constructor below.
   RefChannel(const multichannel::SystemConfig& sys, std::uint32_t channel_id,
              InjectedBug bug)
-      : d_(dram::DerivedTiming::derive(sys.channel_device(channel_id).timing,
-                                       sys.freq)),
-        org_(sys.channel_device(channel_id).org),
-        cfg_(sys.controller),
-        bug_(bug),
-        id_(channel_id),
-        mux_(sys.mux),
-        interconnect_latency_(sys.channel_interconnect(channel_id).latency),
-        request_interval_cycles_(
-            sys.channel_interconnect(channel_id).request_interval_cycles),
-        clk_ps_(d_.clk.ps()),
-        banks_(org_.banks),
-        last_wr_data_end_(Time{-1'000'000'000}),
-        // Refresh-free classes (PCM-like) park the due time at the sentinel.
-        next_ref_due_(d_.has_refresh() ? cyc(d_.trefi) : Time::max()) {
-    res_.bank_accesses.assign(org_.banks, 0);
-    rows_per_bank_ = org_.rows_per_bank();
-    bursts_per_row_ = org_.bursts_per_row();
-    capacity_bursts_ = org_.capacity_bytes() / org_.bytes_per_burst();
-  }
+      : RefChannel(sys, channel_id, bug, sys.channel_device(channel_id),
+                   sys.channel_interconnect(channel_id)) {}
 
   [[nodiscard]] bool can_accept() const { return queue_.size() < cfg_.queue_depth; }
   [[nodiscard]] bool has_pending() const { return !queue_.empty(); }
   [[nodiscard]] Time horizon() const { return horizon_; }
   [[nodiscard]] RefChannelResult take_result() { return std::move(res_); }
+
+  /// Size the event record for `routed` requests (event_reservation).
+  void reserve_events(std::uint64_t routed) {
+    res_.events.reserve(event_reservation(routed));
+  }
 
   void enqueue(Request r) {
     check(can_accept(), "enqueue into a full queue");
@@ -84,7 +85,7 @@ class RefChannel {
       r.arrival = max(r.arrival, next_accept_);
       next_accept_ = r.arrival + Time{clk_ps_ * request_interval_cycles_};
     }
-    queue_.push_back(r);
+    queue_.push_back(RefQueued{r, bank_of(r.addr), row_of(r.addr)});
     ++res_.route_count;
   }
 
@@ -95,15 +96,14 @@ class RefChannel {
     const std::size_t idx = pick_best();
     if (idx == 0) {
       head_skips_ = 0;
-    } else if (queue_.front().arrival <= horizon_) {
+    } else if (queue_.front().req.arrival <= horizon_) {
       ++head_skips_;
       check(head_skips_ <= cfg_.max_skips, "head skipped past the starvation bound");
     }
-    const Request r = queue_[idx];
+    const Request r = queue_[idx].req;
+    const std::uint32_t bank = queue_[idx].bank;
+    const std::uint32_t row = queue_[idx].row;
     queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(idx));
-
-    const std::uint32_t bank = bank_of(r.addr);
-    const std::uint32_t row = row_of(r.addr);
 
     // Refresh handling first — unless the idle gap up to the arrival will be
     // covered by self refresh.
@@ -231,6 +231,28 @@ class RefChannel {
   }
 
  private:
+  RefChannel(const multichannel::SystemConfig& sys, std::uint32_t channel_id,
+             InjectedBug bug, const dram::DeviceSpec& dev,
+             const channel::InterconnectSpec& link)
+      : d_(dram::DerivedTiming::derive(dev.timing, sys.freq)),
+        org_(dev.org),
+        cfg_(sys.controller),
+        bug_(bug),
+        id_(channel_id),
+        mux_(sys.mux),
+        interconnect_latency_(link.latency),
+        request_interval_cycles_(link.request_interval_cycles),
+        clk_ps_(d_.clk.ps()),
+        banks_(org_.banks),
+        last_wr_data_end_(Time{-1'000'000'000}),
+        // Refresh-free classes (PCM-like) park the due time at the sentinel.
+        next_ref_due_(d_.has_refresh() ? cyc(d_.trefi) : Time::max()) {
+    res_.bank_accesses.assign(org_.banks, 0);
+    rows_per_bank_ = org_.rows_per_bank();
+    bursts_per_row_ = org_.bursts_per_row();
+    capacity_bursts_ = org_.capacity_bytes() / org_.bytes_per_burst();
+  }
+
   [[nodiscard]] Time cyc(std::int64_t n) const { return Time{clk_ps_ * n}; }
 
   [[nodiscard]] Time next_edge(Time t) const {
@@ -342,14 +364,14 @@ class RefChannel {
     std::size_t earliest = 0;
     Time earliest_arrival = Time::max();
     for (std::size_t i = 0; i < queue_.size(); ++i) {
-      const Request& r = queue_[i];
+      const Request& r = queue_[i].req;
       if (r.arrival < earliest_arrival) {
         earliest_arrival = r.arrival;
         earliest = i;
       }
       if (r.arrival > horizon_) continue;  // not ready
-      const std::uint32_t bank = bank_of(r.addr);
-      const bool hit = banks_[bank].open && banks_[bank].row == row_of(r.addr);
+      const RefBank& b = banks_[queue_[i].bank];
+      const bool hit = b.open && b.row == queue_[i].row;
       const bool same_dir = bus_used_ && r.is_write == last_data_write_;
       const int rank = (hit ? 2 : 0) + (same_dir ? 1 : 0);
       if (rank > best_rank) {
@@ -532,7 +554,7 @@ class RefChannel {
   Time act_history_[4] = {Time{-1}, Time{-1}, Time{-1}, Time{-1}};
   int act_head_ = 0;
 
-  std::vector<Request> queue_;
+  std::vector<RefQueued> queue_;
   std::uint32_t head_skips_ = 0;
 
   Time cmd_free_ = Time::zero();
@@ -562,6 +584,17 @@ RefRunOutput run_reference(const Scenario& scenario) {
   for (std::uint32_t c = 0; c < sys.channels; ++c) {
     channels.emplace_back(sys, c, scenario.inject);
   }
+  // Size each channel's event record from the requests routed to it.
+  std::vector<std::uint64_t> routed(sys.channels, 0);
+  for (const ScenarioFrame& f : scenario.frames) {
+    for (const ScenarioStage& stage : f.stages) {
+      for (const std::uint64_t packed : stage.reqs) {
+        const std::uint64_t global = load::CachedStage::addr_of(packed);
+        ++routed[route_address(global, sys.channels, sys.interleave_bytes).channel];
+      }
+    }
+  }
+  for (std::uint32_t c = 0; c < sys.channels; ++c) channels[c].reserve_events(routed[c]);
 
   // Serve one request on the most-behind pending channel (ties to the
   // lowest index), exactly the production engine's ordering rule.

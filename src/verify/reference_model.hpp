@@ -20,6 +20,7 @@
 // differential harness can prove it catches and shrinks real divergences.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -70,6 +71,18 @@ struct RefRunOutput {
   std::vector<std::int64_t> stage_completed_ps;
   std::vector<RefChannelResult> channels;
 };
+
+/// Events to reserve for a channel that `routed_requests` requests reach.
+/// A request records at most four events of its own: its span plus PRE, ACT
+/// and the column command (open page), or ACT, the column command, PRE and
+/// the span (closed page). The slack covers a few refreshes, power-down
+/// pairs and finalize's trailing precharges; a run with more of those grows
+/// the vector past the reservation as usual. Both the golden model and the
+/// differential harness's production spools size their event vectors with
+/// it.
+[[nodiscard]] constexpr std::size_t event_reservation(std::uint64_t routed_requests) {
+  return static_cast<std::size_t>(4 * routed_requests + 64);
+}
 
 /// Run the whole scenario (state-machine frame loop + finalize) through the
 /// reference model. Throws std::logic_error when a reference-internal

@@ -132,11 +132,11 @@ class QueueModel {
 
   void activate(std::uint32_t b) {
     open_[b] = static_cast<std::int64_t>(rng_.next_below(4));
-    q_.mark_rows_stale();
+    q_.mark_rows_stale(b);
   }
   void precharge(std::uint32_t b) {
     open_[b] = RequestQueue::kNoRow;
-    q_.mark_rows_stale();
+    q_.mark_rows_stale(b);
   }
 
   // One service's row changes, shaped like the page policy's, sometimes

@@ -90,7 +90,7 @@ TEST(RequestQueue, HitBitSeededFromOpenRows) {
   RequestQueue q(4, kBanks);
   std::array<std::int64_t, kBanks> open = kClosed;
   open[1] = 17;  // bank 1 opens row 17
-  q.mark_rows_stale();
+  q.mark_rows_stale(1);
   q.sync_rows(open.data());
   const std::uint32_t hit = q.push(req(1), da(1, 17));
   const std::uint32_t other_row = q.push(req(2), da(1, 3));
@@ -118,20 +118,20 @@ TEST(RequestQueue, RowChangedRederivesHitBits) {
   EXPECT_FALSE(q.is_row_hit(a));
 
   open[1] = 17;  // ACT bank 1 row 17
-  q.mark_rows_stale();
+  q.mark_rows_stale(1);
   q.sync_rows(open.data());
   EXPECT_TRUE(q.is_row_hit(a));
   EXPECT_FALSE(q.is_row_hit(b));
   EXPECT_FALSE(q.is_row_hit(c));  // other bank untouched
 
   open[1] = 3;  // conflict: bank 1 switches rows
-  q.mark_rows_stale();
+  q.mark_rows_stale(1);
   q.sync_rows(open.data());
   EXPECT_FALSE(q.is_row_hit(a));
   EXPECT_TRUE(q.is_row_hit(b));
 
   open[1] = -1;  // precharge
-  q.mark_rows_stale();
+  q.mark_rows_stale(1);
   q.sync_rows(open.data());
   EXPECT_FALSE(q.is_row_hit(a));
   EXPECT_FALSE(q.is_row_hit(b));
@@ -146,10 +146,10 @@ TEST(RequestQueue, ActThenPreBeforeSyncLeavesBitsExact) {
   std::array<std::int64_t, kBanks> open = kClosed;
   const std::uint32_t a = q.push(req(1), da(0, 5));
   open[0] = 5;
-  q.mark_rows_stale();
+  q.mark_rows_stale(0);
   const std::uint32_t b = q.push(req(2), da(0, 5));
   open[0] = -1;
-  q.mark_rows_stale();
+  q.mark_rows_stale(0);
   q.sync_rows(open.data());
   EXPECT_FALSE(q.is_row_hit(a));
   EXPECT_FALSE(q.is_row_hit(b));

@@ -142,5 +142,35 @@ TEST(MergeTraceSpools, TimeOrderDominatesChannelAndSequence) {
   EXPECT_NE(lines[2].find(R"("t_ps":20000)"), std::string::npos);
 }
 
+TEST(TraceSpool, TakeEventsHandsOverInOrder) {
+  TraceSpool sp;
+  sp.reserve(8);
+  sp.command(2, Time::from_ns(5.0), dram::Command::kActivate, 1, 10);
+  sp.span(2, 256, true, Time::zero(), Time::from_ns(5.0), Time::from_ns(9.0),
+          false);
+  sp.command(2, Time::from_ns(3.0), dram::Command::kPrecharge, 1, 0);
+
+  const std::vector<TraceEvent> taken = sp.take_events();
+  ASSERT_EQ(taken.size(), 3u);
+  EXPECT_EQ(taken[0].kind, TraceEvent::Kind::kCommand);
+  EXPECT_EQ(taken[0].cmd, dram::Command::kActivate);
+  EXPECT_EQ(taken[0].row, 10u);
+  EXPECT_EQ(taken[1].kind, TraceEvent::Kind::kSpan);
+  EXPECT_EQ(taken[1].addr, 256u);
+  EXPECT_TRUE(taken[1].is_write);
+  EXPECT_EQ(taken[1].done, Time::from_ns(9.0));
+  EXPECT_EQ(taken[2].cmd, dram::Command::kPrecharge);
+  EXPECT_EQ(taken[2].at, Time::from_ns(3.0));
+  for (const TraceEvent& e : taken) EXPECT_EQ(e.channel, 2u);
+
+  // Empty afterwards, and it keeps recording from scratch.
+  EXPECT_TRUE(sp.events().empty());
+  EXPECT_EQ(sp.events_recorded(), 0u);
+  sp.command(2, Time::from_ns(11.0), dram::Command::kRefresh, 0, 0);
+  ASSERT_EQ(sp.events().size(), 1u);
+  EXPECT_EQ(sp.events()[0].cmd, dram::Command::kRefresh);
+  EXPECT_EQ(taken.size(), 3u);
+}
+
 }  // namespace
 }  // namespace mcm::obs
