@@ -15,28 +15,30 @@
 #include <string>
 
 #include "common/csv.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/closed_loop.hpp"
 #include "obs/run_report.hpp"
 
 namespace mcm::benchutil {
 
 /// Requested worker-thread count for parallel sweeps: `--threads N` on the
-/// command line wins; 0 means "auto" (the pool then applies MCM_THREADS or
-/// hardware_concurrency).
+/// command line, 0 (MCM_THREADS, else hardware_concurrency) without it. A
+/// missing or malformed N is a usage error: the bench exits with status 2.
 [[nodiscard]] inline unsigned thread_request(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--threads") == 0) {
-      return static_cast<unsigned>(std::strtoul(argv[i + 1], nullptr, 10));
-    }
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--threads") != 0) continue;
+    const char* v = i + 1 < argc ? argv[i + 1] : "";
+    if (const auto n = exec::parse_thread_count(v)) return *n;
+    std::fprintf(stderr, "%s: --threads needs a positive integer, got '%s'\n",
+                 argv[0], v);
+    std::exit(2);
   }
   return 0;
 }
 
 /// Stamp the resolved worker count into the report config so perf
-/// trajectories across runs are attributable to the pool size used.
+/// trajectories across runs are attributable to the thread count used.
 inline void stamp_threads(obs::RunReport& report, unsigned requested) {
-  report.config()["threads"] =
-      exec::ThreadPool::resolve_thread_count(requested);
+  report.config()["threads"] = exec::resolve_threads(requested);
 }
 
 /// Returns a CSV writer bound to $MCM_CSV_DIR/<name>.csv, or nullptr when

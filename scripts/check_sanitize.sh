@@ -25,12 +25,12 @@ cmake --build "$build_dir" -j "$(nproc)"
 if [ "$mode" = "thread" ]; then
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
   # The suites of the code that starts threads: the memoized stream
-  # cache's single-flight build, the exec thread pool, the exploration
-  # orchestrator, the metrics registry under concurrent registration, and
-  # the profiler's cross-thread spool merge. The simulation engine itself
-  # runs on one thread.
+  # cache's single-flight build, the exec closed loop (run_indexed), the
+  # exploration orchestrator, the metrics registry under concurrent
+  # registration, and the profiler's cross-thread spool merge. The
+  # simulation engine itself runs on one thread.
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" \
-    -R "StreamCache|ThreadPool|Orchestrator|MetricsRegistryThreadSafe|ProfTest"
+    -R "StreamCache|ClosedLoop|Orchestrator|MetricsRegistryThreadSafe|ProfTest"
 else
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"

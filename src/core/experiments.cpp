@@ -1,6 +1,6 @@
 // Paper-default configuration and sweep axes. The sweep functions declared
 // in experiments.hpp are implemented by the exploration engine
-// (src/explore/sweeps.cpp) so they parallelize on the shared thread pool.
+// (src/explore/sweeps.cpp) so they run in parallel on the orchestrator.
 #include "core/experiments.hpp"
 
 namespace mcm::core {

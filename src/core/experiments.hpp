@@ -5,8 +5,8 @@
 //    points, Fig. 5 reads average power.
 //
 // The sweep functions are implemented by the exploration engine
-// (src/explore): points run on the work-stealing thread pool (`threads` = 0
-// means MCM_THREADS / hardware_concurrency) with per-point deterministic
+// (src/explore): points run on a closed loop of worker threads (`threads` =
+// 0 means MCM_THREADS / hardware_concurrency) with per-point deterministic
 // seeding, and the returned vector is identical regardless of thread count.
 // Targets calling them must link mcm_explore.
 #pragma once

@@ -30,7 +30,6 @@
 #include "core/experiments.hpp"
 #include "core/frame_simulator.hpp"
 #include "core/source_runner.hpp"
-#include "dram/bank.hpp"
 #include "dram/bank_cluster.hpp"
 #include "dram/command.hpp"
 #include "dram/energy.hpp"

@@ -9,9 +9,7 @@
 // when precharged). One lane pass answers cluster-wide questions — the
 // controller's FR-FCFS kernels compare request rows against the open-row
 // lane directly, and an open-bank counter makes any_row_open() O(1) — while
-// the per-bank command methods keep exactly the legality assertions the old
-// array-of-Bank layout had (the scalar Bank class remains as the documented
-// single-bank reference; see dram/bank.hpp and its unit test).
+// the command methods assert that every command they commit is legal.
 #pragma once
 
 #include <algorithm>
@@ -70,8 +68,7 @@ class BankCluster {
     return Time{next_cas_ps_[b]};
   }
 
-  /// Read-only per-bank view; keeps the bank(i) call sites (tests, dumps)
-  /// source-compatible with the old array-of-Bank layout.
+  /// Read-only per-bank view for the bank(i) call sites (tests, dumps).
   class BankView {
    public:
     BankView(const BankCluster& c, std::uint32_t b) : c_(c), b_(b) {}

@@ -1,11 +1,13 @@
 #include "explore/orchestrator.hpp"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/log.hpp"
-#include "exec/thread_pool.hpp"
+#include "exec/closed_loop.hpp"
 #include "obs/metrics.hpp"
 #include "obs/prof.hpp"
+#include "video/usecase.hpp"
 
 namespace mcm::explore {
 namespace {
@@ -26,6 +28,21 @@ core::FrameSimOptions point_sim_options(const ExperimentSpec& spec,
 }
 
 }  // namespace
+
+std::vector<std::size_t> largest_first(const ExperimentSpec& spec,
+                                       const std::vector<ExplorePoint>& points,
+                                       std::vector<std::size_t> indices) {
+  std::vector<double> bytes(points.size(), 0.0);
+  for (const std::size_t i : indices) {
+    bytes[i] = video::UseCaseModel(points[i].usecase(spec.base))
+                   .total_bytes_per_frame();
+  }
+  std::stable_sort(indices.begin(), indices.end(),
+                   [&bytes](std::size_t a, std::size_t b) {
+                     return bytes[a] > bytes[b];
+                   });
+  return indices;
+}
 
 ExploreRun Orchestrator::run(const ExperimentSpec& spec) const {
   return run(spec, spec.expand());
@@ -50,38 +67,35 @@ ExploreRun Orchestrator::run(const ExperimentSpec& spec,
   }
   run.stats.points = points.size();
 
-  exec::ThreadPool pool(opt_.threads);
-  run.stats.threads = pool.size();
+  const unsigned threads = exec::resolve_threads(opt_.threads);
+  run.stats.threads = threads;
 
   // Phase 1 (optional, and implied by the analytic engine): closed-form
-  // estimate for every point. Cheap enough to fan out as one task per point.
+  // estimate for every point, microseconds each.
   const bool want_screen = opt_.prescreen || opt_.engine == Engine::kAnalytic;
   if (want_screen) {
-    std::vector<exec::ThreadPool::Task> tasks;
-    tasks.reserve(points.size());
-    const bool pon = obs::prof::enabled();
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      // Queue latency = enqueue-to-start; measured only when profiling so
-      // the task captures nothing extra otherwise.
-      const std::int64_t enq = pon ? obs::prof::now_ns() : 0;
-      tasks.push_back([&spec, &run, i, enq] {
-        if (enq != 0) obs::prof::tally(kQueueWait, obs::prof::now_ns() - enq);
-        obs::prof::ScopedTimer span(kAnalytic);
-        ExploreResult& r = run.results[i];
-        r.analytic = core::analytic_estimate(r.point.system(spec.base),
-                                             r.point.usecase(spec.base),
-                                             spec.base.sim.load);
-        r.screened = true;
-      });
-    }
-    pool.run_batch(std::move(tasks));
+    // Queue wait = batch start to point start; timed only when profiling.
+    const std::int64_t start = obs::prof::enabled() ? obs::prof::now_ns() : 0;
+    exec::run_indexed(points.size(), threads,
+                      [&spec, &run, start](std::size_t i) {
+                        if (start != 0) {
+                          obs::prof::tally(kQueueWait,
+                                           obs::prof::now_ns() - start);
+                        }
+                        obs::prof::ScopedTimer span(kAnalytic);
+                        ExploreResult& r = run.results[i];
+                        r.analytic = core::analytic_estimate(
+                            r.point.system(spec.base),
+                            r.point.usecase(spec.base), spec.base.sim.load);
+                        r.screened = true;
+                      });
     run.stats.screened = points.size();
   }
 
   // Phase 2: transaction-level simulation of the surviving points.
   if (opt_.engine == Engine::kSimulator) {
-    std::vector<exec::ThreadPool::Task> tasks;
-    tasks.reserve(points.size());
+    std::vector<std::size_t> todo;
+    todo.reserve(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
       ExploreResult& r = run.results[i];
       // The closed-form estimator models one homogeneous device (the base
@@ -95,19 +109,26 @@ ExploreRun Orchestrator::run(const ExperimentSpec& spec,
         ++run.stats.pruned;
         continue;
       }
-      const std::int64_t enq =
-          obs::prof::enabled() ? obs::prof::now_ns() : 0;
-      tasks.push_back([&spec, &run, i, enq] {
-        if (enq != 0) obs::prof::tally(kQueueWait, obs::prof::now_ns() - enq);
-        obs::prof::ScopedTimer span(kExecute);
-        ExploreResult& r = run.results[i];
-        const core::FrameSimulator sim(point_sim_options(spec, r.point));
-        r.sim = sim.run(r.point.system(spec.base), r.point.usecase(spec.base));
-        r.simulated = true;
-      });
+      todo.push_back(i);
     }
-    run.stats.simulated = tasks.size();
-    pool.run_batch(std::move(tasks));
+    // expand() puts the most expensive levels last; a cursor over that
+    // order would start them last and leave one running alone at the end.
+    const std::vector<std::size_t> order =
+        largest_first(spec, points, std::move(todo));
+    run.stats.simulated = order.size();
+    const std::int64_t start = obs::prof::enabled() ? obs::prof::now_ns() : 0;
+    exec::run_indexed(
+        order.size(), threads, [&spec, &run, &order, start](std::size_t k) {
+          if (start != 0) {
+            obs::prof::tally(kQueueWait, obs::prof::now_ns() - start);
+          }
+          obs::prof::ScopedTimer span(kExecute);
+          ExploreResult& r = run.results[order[k]];
+          const core::FrameSimulator sim(point_sim_options(spec, r.point));
+          r.sim =
+              sim.run(r.point.system(spec.base), r.point.usecase(spec.base));
+          r.simulated = true;
+        });
   }
 
   run.stats.wall_seconds =

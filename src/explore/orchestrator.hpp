@@ -32,8 +32,8 @@ enum class Engine : std::uint8_t {
 };
 
 struct OrchestratorOptions {
-  /// Worker threads; 0 = ThreadPool default (MCM_THREADS override, else
-  /// hardware_concurrency).
+  /// Worker threads; 0 = exec::resolve_threads default (MCM_THREADS, else
+  /// hardware_concurrency). At most one worker per point is started.
   unsigned threads = 0;
 
   Engine engine = Engine::kSimulator;
@@ -77,7 +77,7 @@ struct ExploreResult {
   }
 };
 
-/// Non-deterministic run facts (timing, pool size, prune counts); kept apart
+/// Non-deterministic run facts (timing, thread count, prune counts); kept apart
 /// from `results` so exports can stay thread-count invariant.
 struct RunStats {
   unsigned threads = 1;
@@ -93,15 +93,24 @@ struct ExploreRun {
   RunStats stats;
 };
 
+/// The order in which the simulation phase hands out `indices` (positions
+/// in `points`): descending bytes per frame of each point's use case
+/// (video::UseCaseModel::total_bytes_per_frame), ties in index order. The
+/// bytes a frame moves track its simulation cost, so the most expensive
+/// points start first instead of last.
+[[nodiscard]] std::vector<std::size_t> largest_first(
+    const ExperimentSpec& spec, const std::vector<ExplorePoint>& points,
+    std::vector<std::size_t> indices);
+
 class Orchestrator {
  public:
   explicit Orchestrator(OrchestratorOptions opt = {}) : opt_(opt) {}
 
   [[nodiscard]] const OrchestratorOptions& options() const { return opt_; }
 
-  /// Expand and evaluate the spec. Exceptions from worker tasks (e.g. a
-  /// config rejected by the simulator) propagate to the caller after the
-  /// batch drains.
+  /// Expand and evaluate the spec. The first exception from a point (e.g. a
+  /// config rejected by the simulator) stops the handout of further points
+  /// and propagates to the caller once the running ones have finished.
   [[nodiscard]] ExploreRun run(const ExperimentSpec& spec) const;
 
   /// Evaluate an explicit point list (any subset/reordering of a grid —

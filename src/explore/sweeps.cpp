@@ -1,6 +1,6 @@
 // Implements the core sweep API (core/experiments.hpp) on top of the
 // exploration engine, so every figure bench and example inherits the
-// work-stealing pool, MCM_THREADS sizing, and the deterministic merge
+// parallel closed loop, MCM_THREADS sizing, and the deterministic merge
 // contract. Lives in mcm_explore (not mcm_core) to keep the dependency
 // arrow explore -> core one-way.
 #include "core/experiments.hpp"

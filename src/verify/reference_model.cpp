@@ -37,7 +37,7 @@ RefRoute route_address(std::uint64_t global, std::uint32_t channels,
 
 /// One bank's state: open row plus earliest-legal times for each command
 /// kind, recomputed here from the datasheet rules rather than shared with
-/// the production Bank class.
+/// the production BankCluster.
 struct RefBank {
   bool open = false;
   std::uint32_t row = 0;

@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
 #include <set>
 
+#include "exec/closed_loop.hpp"
 #include "explore/explore_export.hpp"
 #include "load/stream_cache.hpp"
 #include "obs/metrics.hpp"
@@ -185,6 +187,36 @@ TEST(Orchestrator, PointsThatDifferOnlyInSeedShareOneStream) {
   for (const auto& r : run.results) EXPECT_TRUE(r.simulated);
   EXPECT_EQ(cache.stats().stream_entries, 1u);
   cache.clear();
+}
+
+TEST(Orchestrator, SimulationStartsTheLargestPointFirst) {
+  // expand() is level-outer in spec order: 3.1 (720p30) x {2, 4} ch, then
+  // 5.2 (2160p30), then 4.0 (1080p30).
+  ExperimentSpec spec;
+  spec.levels = {video::H264Level::k31, video::H264Level::k52,
+                 video::H264Level::k40};
+  spec.channels = {2, 4};
+  const auto points = spec.expand();
+  std::vector<std::size_t> all(points.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  const auto order = largest_first(spec, points, all);
+
+  // Record the start order the way the orchestrator's simulation phase
+  // hands points out: fn index k starts point order[k].
+  std::vector<std::size_t> started;
+  exec::run_indexed(order.size(), 1,
+                    [&](std::size_t k) { started.push_back(order[k]); });
+  EXPECT_EQ(started, (std::vector<std::size_t>{2, 3, 4, 5, 0, 1}));
+  const auto bytes = [&](std::size_t i) {
+    return video::UseCaseModel(points[i].usecase(spec.base))
+        .total_bytes_per_frame();
+  };
+  for (std::size_t k = 1; k < started.size(); ++k) {
+    EXPECT_GE(bytes(started[k - 1]), bytes(started[k])) << k;
+  }
+  // A subset (the points the pre-screen kept) keeps the same rule.
+  EXPECT_EQ(largest_first(spec, points, {5, 0, 2, 1}),
+            (std::vector<std::size_t>{2, 5, 0, 1}));
 }
 
 }  // namespace

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "exec/thread_pool.hpp"
+#include "exec/closed_loop.hpp"
 #include "explore/explore_export.hpp"
 #include "explore/orchestrator.hpp"
 #include "obs/metrics.hpp"
@@ -62,7 +62,14 @@ bool parse_args(int argc, char** argv, Args& args) {
     if (arg == "--threads") {
       const char* v = next("--threads");
       if (v == nullptr) return false;
-      args.orch.threads = static_cast<unsigned>(std::strtoul(v, nullptr, 10));
+      const auto n = exec::parse_thread_count(v);
+      if (!n) {
+        std::fprintf(stderr, "--threads needs a positive integer, got '%s'\n",
+                     v);
+        usage(argv[0]);
+        return false;
+      }
+      args.orch.threads = *n;
     } else if (arg == "--screen") {
       args.orch.prescreen = true;
     } else if (arg == "--slack") {
@@ -118,7 +125,7 @@ int main(int argc, char** argv) {
   obs::MetricsRegistry metrics;
   args.orch.metrics = &metrics;
   std::printf("mcm_explore: %zu points, %u threads%s%s\n", spec.size(),
-              exec::ThreadPool::resolve_thread_count(args.orch.threads),
+              exec::resolve_threads(args.orch.threads),
               args.orch.prescreen ? ", analytic pre-screen" : "",
               args.orch.engine == explore::Engine::kAnalytic
                   ? ", analytic engine"
